@@ -21,7 +21,7 @@ from .cyclo import zeta_table
 from .errors import CapExceeded, DEFAULT_ENUM_CAP
 from .polyring import IntPolynomial
 from .strat import VarietyChain
-from .sumengine import S_F_grid
+from .sumengine import S_F_grid, poly_values_grid
 
 
 @dataclass(frozen=True)
@@ -59,23 +59,11 @@ class DiscrepancySpec:
 
 def _box_values(spec: DiscrepancySpec, cap: int) -> np.ndarray:
     """P_i(x) mod p over the box [0, w)^n, shape (r, w^n)."""
-    n, w, p = spec.nvars, spec.w, spec.p
+    n, w = spec.nvars, spec.w
     if w ** n > cap:
         raise CapExceeded(f"box {w}^{n} exceeds cap {cap}")
-    mesh = np.indices((w,) * n, dtype=np.int64).reshape(n, -1)
-    out = np.zeros((spec.r, w ** n), dtype=np.int64)
-    for k, f in enumerate(spec.polys):
-        acc = np.zeros(w ** n, dtype=np.int64)
-        for exps, coeff in f.terms.items():
-            term = np.full(w ** n, coeff % p, dtype=np.int64)
-            for i, e in enumerate(exps):
-                if e:
-                    pow_tab = np.array([pow(x, e, p) for x in range(w)],
-                                       dtype=np.int64)
-                    term = (term * pow_tab[mesh[i]]) % p
-            acc = (acc + term) % p
-        out[k] = acc
-    return out
+    return np.stack([poly_values_grid(f, spec.p, w).reshape(-1)
+                     for f in spec.polys])
 
 
 def discrepancy(spec: DiscrepancySpec, cap: int = DEFAULT_ENUM_CAP) -> float:

@@ -30,7 +30,8 @@ from .strat import (
     stratum_index_from_masks,
     verify_kl_masks,
 )
-from .sumengine import SumGrid, SumSpec, complete_grid, cyclo_dft, poly_values_grid
+from .sumengine import SumGrid, SumSpec, complete_grid, exact_grid, poly_values_grid
+from .sumengine import cyclo_dft  # noqa: F401  (bench/tests wrap catalog.cyclo_dft)
 
 
 @dataclass
@@ -58,13 +59,12 @@ class CatalogEntry:
     def grid(self, p: int) -> SumGrid:
         return self.grid_builder(p)
 
-    def verify(self, p: int, grid: SumGrid | None = None,
-               workers: int = 1) -> StratReport:
+    def verify(self, p: int, grid: SumGrid | None = None) -> StratReport:
         if grid is None:
             grid = self.grid(p)
         excluded = self.N > 1 and self.N % p == 0
         return verify_kl_masks(grid.values, self.masks(p), p, self.C, self.d,
-                               excluded=excluded, workers=workers)
+                               excluded=excluded)
 
     def check_expected(self, p: int, grid: SumGrid | None = None):
         """Per-stratum max |S| against C * p^{e/2} from the expected table.
@@ -414,8 +414,9 @@ def quadric_blocks(n_blocks: int) -> CatalogEntry:
 def _family_delta_ft_grid(n: int, p: int, cap: int = DEFAULT_GRID_CAP) -> SumGrid:
     """Exact Fourier grid of phi(a, b, x) = [sum_i a_i x_i^2 = 0] psi(-a.b)
     on A^{3n}, with dual coordinates (c, d, v)."""
-    if p ** (3 * n) > cap:
-        raise CapExceeded(f"family grid {p}^{3 * n} exceeds cap {cap}")
+    if p ** (3 * n + 1) > cap:
+        raise CapExceeded(f"family grid needs {p}^{3 * n + 1} zeta counts, "
+                          f"over cap {cap}")
     shape = (p,) * (3 * n)
     mesh = np.indices(shape, dtype=np.int64)
     a = mesh[:n]
@@ -426,17 +427,7 @@ def _family_delta_ft_grid(n: int, p: int, cap: int = DEFAULT_GRID_CAP) -> SumGri
     for i in range(n):
         fval = (fval + a[i] * x[i] ** 2) % p
         ab = (ab + a[i] * b[i]) % p
-    delta = fval == 0
-    counts = np.zeros(shape + (p,), dtype=np.int64)
-    flat_idx = ((-ab) % p).reshape(-1)
-    flat_delta = delta.reshape(-1)
-    cflat = counts.reshape(-1, p)
-    np.add.at(cflat, (np.arange(flat_idx.size), flat_idx),
-              flat_delta.astype(np.int64))
-    out = cyclo_dft(counts, p)
-    out -= out.min(axis=-1, keepdims=True)
-    values = np.tensordot(out, zeta_table(p), axes=([-1], [0]))
-    return SumGrid(p=p, n=3 * n, values=values, counts=out)
+    return exact_grid((fval == 0).astype(np.int64), (-ab) % p, p)
 
 
 def _fiber_quadric_grid(dvec, p: int) -> SumGrid:

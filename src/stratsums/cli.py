@@ -133,8 +133,7 @@ def cmd_sum(args) -> int:
 def cmd_grid(args) -> int:
     spec = _build_spec(args)
     _check_config(args)
-    grid = complete_grid(spec, args.p, sign=args.sign, cap=args.cap,
-                         workers=args.workers)
+    grid = complete_grid(spec, args.p, sign=args.sign, cap=args.cap)
     absv = grid.abs_values()
     print(f"grid {args.p}^{spec.nvars}: max|S| = {absv.max():.6g}, "
           f"nonzero at {(absv > 1e-9).sum()} of {absv.size} parameters")
@@ -171,8 +170,8 @@ def cmd_verify(args) -> int:
     datum = KLDatum(chain=chain, N=args.N, C=args.C, d=args.d)
     all_pass = True
     for p in primes:
-        grid = complete_grid(spec, p, cap=args.cap, workers=args.workers)
-        report = verify_kl(datum, grid, workers=args.workers)
+        grid = complete_grid(spec, p, cap=args.cap)
+        report = verify_kl(datum, grid)
         print(report.table())
         if args.out:
             path = f"{args.out}.p{p}.json"
@@ -241,7 +240,7 @@ def cmd_catalog(args) -> int:
     if args.p:
         for p in _parse_primes(args.p):
             grid = entry.grid(p)
-            report = entry.verify(p, grid=grid, workers=args.workers)
+            report = entry.verify(p, grid=grid)
             ok, rows = entry.check_expected(p, grid=grid)
             print(report.table())
             print(f"expected-exponent table at p={p}: "
@@ -319,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized spot checks (default 0)")
     ap.add_argument("--workers", type=int, default=1,
-                    help="worker count; results are worker-count independent")
+                    help="accepted for compatibility (must be >= 1); has no "
+                         "effect, every run is single-threaded")
     ap.add_argument("--cap", type=int, default=DEFAULT_GRID_CAP,
                     help="size cap for enumerations, grids and extensions "
                          "(default 2^26)")

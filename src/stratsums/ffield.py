@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cyclo import zeta_table
 from .errors import CapExceeded, DEFAULT_FIELD_CAP
 
 
@@ -241,7 +242,6 @@ class FieldCtx:
         self._dlog = None
         self._exp_ranks = None
         self._trace_table = None
-        self._psi_roots = None
 
     # -- element construction ------------------------------------------------
 
@@ -337,18 +337,10 @@ class FieldCtx:
             raise AssertionError("trace left the base field; modulus corrupt")
         return acc.coeffs[0]
 
-    @property
-    def psi_roots(self) -> np.ndarray:
-        """e(j/p) for j in [0, p); the fixed additive character table."""
-        if self._psi_roots is None:
-            js = np.arange(self.p)
-            self._psi_roots = np.exp(2j * np.pi * js / self.p)
-        return self._psi_roots
-
     def additive_char(self, x: FieldElem) -> tuple[int, complex]:
         """psi_m(x) = e(Tr(x)/p); returns (exact index in Z/p, complex value)."""
         idx = self.trace_to_base(x)
-        return idx, complex(self.psi_roots[idx])
+        return idx, complex(zeta_table(self.p)[idx])
 
     @property
     def generator(self) -> FieldElem:
@@ -486,7 +478,7 @@ def gauss_sum(ctx: FieldCtx, chi_order: int, chi_index: int = 1) -> complex:
     if chi_order == 1 or chi_index % chi_order == 0:
         raise ValueError("trivial character rejected")
     chi = ctx.mult_char_table(chi_order, chi_index)
-    psi = ctx.psi_roots
+    psi = zeta_table(ctx.p)
     return complex(np.sum(chi[1:] * psi[1:]))
 
 

@@ -10,6 +10,7 @@ p^{w/2} magnitude grid with w below a given ceiling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,16 +19,10 @@ import numpy as np
 from .cyclo import CycloValue, zeta_table
 from .errors import CapExceeded, DEFAULT_ENUM_CAP, RankTooHigh
 from .ffield import FieldCtx, least_irreducible, next_irreducible
-from .sumengine import (
-    SumSpec,
-    SumValue,
-    _kloosterman_raw_table,
-    enumerate_points,
-    eval_sum,
-    r_F,
-)
+from .polyring import IntPolynomial
+from .sumengine import SumSpec, SumValue
 
-_TABLE_CAP = 1 << 22  # largest q*q mesh for the vectorized 2-variable path
+_BLOCK = 1 << 16  # points per kernel block; bounds the kernel's working arrays
 
 
 @dataclass
@@ -77,146 +72,144 @@ def generator_power_traces(ctx: FieldCtx) -> np.ndarray:
     return np.array(sl, dtype=np.int64)
 
 
-def _monomial_phase_counts(spec: SumSpec, ctx: FieldCtx) -> CycloValue:
-    """Fast path for 1-variable purely additive specs: the trace of
-    c x^k at x = g^b is c * s[(k b) mod (q-1)], by linearity of the trace."""
-    p, q = ctx.p, ctx.q
+def _poly_windows(f: IntPolynomial, ks, size: int, W, p: int) -> np.ndarray:
+    """Trace windows of f on a block of `size` points, shape (size, m).
+
+    ks[i] holds the exponents k of x_i = g^k, or None where x_i = 0.  A term
+    c x^e is c W[sum_i e_i k_i], and windows add digit-wise (the window map
+    is F_p-linear); a term with a positive power of a zero coordinate drops."""
+    qm1 = len(W)
+    out = np.zeros((size, W.shape[1]), dtype=np.int64)
+    for exps, coeff in f.terms.items():
+        if coeff % p == 0 or any(e and k is None for e, k in zip(exps, ks)):
+            continue
+        dl = np.zeros(size, dtype=np.int64)
+        for e, k in zip(exps, ks):
+            if e:
+                dl = (dl + (e % qm1) * k) % qm1
+        term = W[dl]
+        term *= coeff % p
+        out += term
+        out %= p
+    return out
+
+
+def _face_blocks(nvars: int, torus: bool, qm1: int, block: int):
+    """Points of F_q^nvars one face (zero pattern) at a time, in blocks of
+    at most `block`: yields (ks, size) in the form `_poly_windows` takes."""
+    patterns = (False,) if torus else (False, True)
+    for zero in itertools.product(patterns, repeat=nvars):
+        live = [i for i in range(nvars) if not zero[i]]
+        total = qm1 ** len(live)
+        for lo in range(0, total, block):
+            rest = np.arange(lo, min(lo + block, total), dtype=np.int64)
+            ks = [None] * nvars
+            for i in live:
+                rest, ks[i] = np.divmod(rest, qm1)
+            yield ks, min(block, total - lo)
+
+
+def _root_counts(F: IntPolynomial, ks, size: int, W, p: int) -> np.ndarray:
+    """#{y : F(y, x) = 0} at each point x of a block: y is one more
+    coordinate, zero or g^j for every j."""
+    qm1 = len(W)
+    count = ~_poly_windows(F, [None, *ks], size, W, p).any(axis=1)
+    ys = np.tile(np.arange(qm1, dtype=np.int64), size)
+    xs = [None if k is None else np.repeat(k, qm1) for k in ks]
+    hits = ~_poly_windows(F, [ys, *xs], size * qm1, W, p).any(axis=1)
+    return count + hits.reshape(size, qm1).sum(axis=1)
+
+
+def _summand_blocks(spec: SumSpec, ctx: FieldCtx):
+    """The summands of `spec` over F_q^nvars, before the half twist, block
+    by block: yields (phase, amp, n_points, twist_zeros), the summand at
+    each domain point off the twist zeros being amp * psi(phase).
+
+    Every element x = g^k is handled through its trace window
+    W[k] = (Tr(g^j x))_{j<m} = (s[k], .., s[k+m-1]), s the generator power
+    traces: x -> W is an F_p-linear bijection F_q -> F_p^m (the trace form
+    is nondegenerate and 1, g, .., g^{m-1} a basis), so zero tests look at
+    all m digits and the additive phase at digit 0, the trace.  amp is an
+    integer weight unless a twist or the Kloosterman value makes it
+    complex."""
+    p, q, m, n = ctx.p, ctx.q, ctx.m, spec.nvars
+    qm1 = q - 1
     s = generator_power_traces(ctx)
-    b = np.arange(q - 1, dtype=np.int64)
-    phase = np.zeros(q - 1, dtype=np.int64)
-    const = 0
-    if spec.trace_weight is not None and spec.trace_weight[0] == "kloosterman_phase":
-        a = spec.trace_weight[1] % p
-        phase = (s + a * s[(-b) % (q - 1)]) % p
-    elif spec.additive_phase is not None:
-        for exps, coeff in spec.additive_phase.terms.items():
-            k, c = exps[0], coeff % p
-            if k == 0:
-                const = (const + c) % p
-                continue
-            phase = (phase + c * s[(k * b) % (q - 1)]) % p
-    phase = (phase + const) % p
-    counts = np.bincount(phase, minlength=p)
-    if not spec.torus:
-        # x = 0 contributes psi(f(0))
-        f0 = const if spec.additive_phase is None else \
-            spec.additive_phase.eval_mod_p_int((0,), p)
-        counts[f0 % p] += 1
-    return CycloValue(p, counts.tolist())
+    W = np.lib.stride_tricks.sliding_window_view(np.concatenate((s, s[:m - 1])), m)
+    kind = spec.trace_weight[0] if spec.trace_weight else None
 
+    phase_poly = spec.additive_phase or IntPolynomial.zero(n)
+    if kind == "kloosterman_phase":  # x + a x^(q-2) = x + a/x on the torus
+        phase_poly = IntPolynomial(1, {(1,): 1}) \
+            + IntPolynomial(1, {(q - 2,): spec.trace_weight[1]})
+    for i, hi in enumerate(spec.linear_form or ()):
+        phase_poly = phase_poly + IntPolynomial.variable(i, n) * int(hi)
 
-def _has_fast_path(spec: SumSpec) -> bool:
-    if spec.mult_twist is not None or spec.variety is not None:
-        return False
-    if spec.linear_form is not None and any(spec.linear_form):
-        return False
-    if spec.trace_weight is not None:
-        return spec.trace_weight[0] == "kloosterman_phase"
-    return spec.nvars == 1
+    chi_by_key = None
+    if spec.mult_twist is not None:
+        g, order, index = spec.mult_twist
+        if qm1 % order != 0:
+            raise ValueError(f"character order {order} does not divide q-1")
+        key_weights = p ** np.arange(m, dtype=np.int64)  # window -> [0, q)
+        ang = 2 * np.pi * ((index * np.arange(qm1)) % order) / order
+        chi_by_key = np.zeros(q, dtype=np.complex128)  # chi(0) = 0 at key 0
+        chi_by_key[W @ key_weights] = np.exp(1j * ang)
+    kl = None
+    if kind == "kloosterman_value":  # -Kl(g^b)/sqrt(q) = -(f*f)[b]/sqrt(q)
+        f = zeta_table(p)[s]
+        kl = -np.fft.ifft(np.fft.fft(f) ** 2) / np.sqrt(q)
+    F = spec.trace_weight[1] if kind == "root_count" else None
+    block = max(1, _BLOCK // q) if F is not None else _BLOCK
 
-
-class _ExtTables:
-    """Rank-indexed arithmetic tables for one extension field: vectorized
-    polynomial evaluation over q x q meshes."""
-
-    def __init__(self, ctx: FieldCtx):
-        q, p, m = ctx.q, ctx.p, ctx.m
-        self.ctx = ctx
-        dl = ctx.dlog_table
-        expr = ctx.exp_ranks
-        ranks = np.arange(q, dtype=np.int64)
-        # multiplication via dlog: zero rows/columns stay zero
-        dsum = (dl[:, None] + dl[None, :]) % (q - 1) if q > 2 else \
-            np.zeros((q, q), dtype=np.int64)
-        mul = expr[dsum]
-        mul[0, :] = 0
-        mul[:, 0] = 0
-        self.mul = mul
-        add = np.zeros((q, q), dtype=np.int64)
-        for i in range(m):
-            d1 = (ranks[:, None] // p ** i) % p
-            d2 = (ranks[None, :] // p ** i) % p
-            add += ((d1 + d2) % p) * p ** i
-        self.add = add
-        self.trace = ctx.trace_table
-        self._pow: dict[int, np.ndarray] = {}
-        self._scalar: dict[int, np.ndarray] = {}
-
-    def power(self, e: int) -> np.ndarray:
-        """rank -> rank of x^e."""
-        if e not in self._pow:
-            q = self.ctx.q
-            out = np.zeros(q, dtype=np.int64)
-            if e == 0:
-                out[:] = 1  # rank of the unit
-            else:
-                dl = self.ctx.dlog_table
-                nz = np.arange(q)[dl >= 0]
-                out[nz] = self.ctx.exp_ranks[(e * dl[nz]) % (q - 1)]
-            self._pow[e] = out
-        return self._pow[e]
-
-    def scalar(self, c: int) -> np.ndarray:
-        """rank -> rank of c*x for a base-field constant c."""
-        c %= self.ctx.p
-        if c not in self._scalar:
-            q, p, m = self.ctx.q, self.ctx.p, self.ctx.m
-            ranks = np.arange(q, dtype=np.int64)
-            out = np.zeros(q, dtype=np.int64)
-            for i in range(m):
-                out += (((ranks // p ** i) % p) * c % p) * p ** i
-            self._scalar[c] = out
-        return self._scalar[c]
-
-    def poly_mesh(self, f) -> np.ndarray:
-        """Ranks of f(x1, x2) over the q x q mesh (2-variable f)."""
-        q = self.ctx.q
-        acc = np.zeros((q, q), dtype=np.int64)
-        for (e1, e2), coeff in f.terms.items():
-            t = self.mul[np.ix_(self.power(e1), self.power(e2))]
-            t = self.scalar(coeff)[t]
-            acc = self.add[acc, t]
-        return acc
-
-
-def _table_sum_2var(spec: SumSpec, ctx: FieldCtx) -> CycloValue:
-    """Exact 2-variable sum over the extension via rank tables."""
-    p, q = ctx.p, ctx.q
-    tables = _ExtTables(ctx)
-    mask = np.ones((q, q), dtype=bool)
-    if spec.variety is not None:
-        for g in spec.variety.generators:
-            mask &= tables.poly_mesh(g) == 0
-    if spec.torus:
-        mask[0, :] = False
-        mask[:, 0] = False
-    if spec.additive_phase is not None:
-        phase = tables.trace[tables.poly_mesh(spec.additive_phase)]
-    else:
-        phase = np.zeros((q, q), dtype=np.int64)
-    counts = np.bincount(phase[mask], minlength=p)
-    return CycloValue(p, counts.tolist()), int(mask.sum())
+    for ks, size in _face_blocks(n, spec.torus, qm1, block):
+        if spec.variety is not None:
+            inside = np.ones(size, dtype=bool)
+            for gen in spec.variety.generators:
+                inside &= ~_poly_windows(gen, ks, size, W, p).any(axis=1)
+            ks = [None if k is None else k[inside] for k in ks]
+            size = int(inside.sum())
+        phase = _poly_windows(phase_poly, ks, size, W[:, :1], p)[:, 0]  # Tr only
+        amp = np.ones(size, dtype=np.int64) if F is None \
+            else _root_counts(F, ks, size, W, p)
+        twist_zeros = 0
+        if kl is not None:
+            amp = amp * kl[ks[0]]
+        if chi_by_key is not None:
+            chi = chi_by_key[_poly_windows(g, ks, size, W, p) @ key_weights]
+            live = chi != 0
+            twist_zeros = size - int(live.sum())
+            phase, amp = phase[live], amp[live] * chi[live]
+        yield phase, amp, size, twist_zeros
 
 
 def extension_sum(spec: SumSpec, ctx: FieldCtx,
                   cap: int = DEFAULT_ENUM_CAP) -> SumValue:
-    """S over the given extension field, choosing the fastest exact path."""
-    if spec.nvars == 1 and _has_fast_path(spec):
-        cyc = _monomial_phase_counts(spec, ctx)
-        npoints = ctx.q - 1 if spec.torus else ctx.q
-    elif (spec.nvars == 2 and spec.is_exact() and spec.trace_weight is None
-          and (spec.linear_form is None or not any(spec.linear_form))
-          and ctx.q ** 2 <= _TABLE_CAP):
-        if ctx.q ** 2 > cap:
-            raise CapExceeded(f"mesh {ctx.q}^2 exceeds cap {cap}")
-        cyc, npoints = _table_sum_2var(spec, ctx)
-    else:
-        return eval_sum(spec, ctx, cap=cap)
-    value = cyc.to_complex()
+    """S over the given extension field, by the trace-window kernel.  The
+    cyclo payload is exact in Z[zeta_p]; it is None when a twist, the
+    Kloosterman value or a half twist enters."""
+    if ctx.q ** spec.nvars > cap:
+        raise CapExceeded(
+            f"enumeration of {ctx.q}^{spec.nvars} points exceeds cap {cap}")
+    p = ctx.p
+    counted = spec.mult_twist is None and not (
+        spec.trace_weight and spec.trace_weight[0] == "kloosterman_value")
+    counts = np.zeros(p, dtype=np.int64)
+    acc = 0j
+    n_points = twist_zeros = 0
+    for phase, amp, size, zeros in _summand_blocks(spec, ctx):
+        n_points += size
+        twist_zeros += zeros
+        if counted:  # a block sums below 2^53, so the float counts are exact
+            counts += np.bincount(phase, weights=amp, minlength=p).astype(np.int64)
+        else:
+            acc += complex(np.dot(amp, zeta_table(p)[phase]))
+    cyc = CycloValue(p, counts.tolist()) if counted else None
+    value = cyc.to_complex() if counted else acc
     if spec.half_twist:
         value /= ctx.q ** (spec.half_twist / 2)
-        return SumValue(value=value, cyclo=None, n_points=npoints)
-    return SumValue(value=value, cyclo=cyc, n_points=npoints)
+        cyc = None
+    return SumValue(value=value, cyclo=cyc, n_points=n_points,
+                    twist_zeros=twist_zeros)
 
 
 def extension_sums(spec: SumSpec, p: int, N: int,
@@ -380,44 +373,14 @@ def quasi_orthonormality(spec: SumSpec, p: int, N: int,
     """Q_n = sum_x |t_n(x)|^2 for n = 1..N.  Only the finite data and its
     trend are reported; no limit claim is made."""
     values = []
-    kind = spec.trace_weight[0] if spec.trace_weight else None
     for n in range(1, N + 1):
         if p ** (n * spec.nvars) > cap:
             raise CapExceeded(f"extension {p}^{n} exceeds cap {cap}")
         ctx = FieldCtx(p, n, cap=max(cap, p ** n))
-        q = ctx.q
-        if kind == "kloosterman_value":
-            kl = _kloosterman_raw_table(ctx)
-            total = float(np.sum(np.abs(kl[1:]) ** 2) / q ** (1 + spec.half_twist))
-        elif kind is None and spec.mult_twist is None and spec.variety is None:
-            # |summand| = 1 on the whole domain
-            npoints = (q - 1) ** spec.nvars if spec.torus else q ** spec.nvars
-            total = npoints / q ** spec.half_twist
-        else:
-            total = 0.0
-            for point in enumerate_points(spec.variety, ctx, spec.nvars,
-                                          spec.torus, cap):
-                total += abs(_point_value(spec, ctx, point)) ** 2
-            total /= q ** spec.half_twist
-        values.append(total)
+        total = sum(float(np.sum(np.abs(amp) ** 2))
+                    for _, amp, _, _ in _summand_blocks(spec, ctx))
+        values.append(total / ctx.q ** spec.half_twist)
     monotone = all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     return MeanSquareReport(values=values, monotone_increasing=monotone,
                             final_gap=abs(1.0 - values[-1]))
 
-
-def _point_value(spec: SumSpec, ctx: FieldCtx, point) -> complex:
-    """Single summand value weight * chi * psi (no h term)."""
-    idx = 0
-    if spec.additive_phase is not None:
-        idx = ctx.trace_to_base(spec.additive_phase.eval_mod(point))
-    weight = 1
-    if spec.trace_weight is not None and spec.trace_weight[0] == "root_count":
-        weight = r_F(spec.trace_weight[1], point, ctx)
-    chi = 1.0 + 0j
-    if spec.mult_twist is not None:
-        g, order, index = spec.mult_twist
-        gval = g.eval_mod(point)
-        if gval.is_zero():
-            return 0j
-        chi = ctx.mult_char(gval, order, index)
-    return weight * chi * zeta_table(ctx.p)[idx]

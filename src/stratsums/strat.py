@@ -26,7 +26,6 @@ from .errors import CapExceeded, ChainContainmentError
 from .ffield import FieldCtx
 from .polyring import AffineVariety, IntPolynomial, parse_poly, poly_to_string
 from .sumengine import SumGrid, variety_mask
-from .util import parallel_map
 
 # containment is checked exhaustively only while p^n stays this small
 _CONTAINMENT_CHECK_LIMIT = 1 << 16
@@ -78,10 +77,7 @@ class VarietyChain:
         return best
 
     def stratum_index_grid(self, p: int) -> np.ndarray:
-        idx = np.zeros((p,) * self.ambient, dtype=np.int64)
-        for i, mask in enumerate(self.masks(p), start=1):
-            idx[mask] = i
-        return idx
+        return stratum_index_from_masks(self.masks(p), (p,) * self.ambient)
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,7 +198,7 @@ class StratReport:
 
 def verify_kl_masks(values: np.ndarray, masks: list[np.ndarray], p: int,
                     C: float, d: int, excluded: bool = False,
-                    slack: float = 1e-6, workers: int = 1) -> StratReport:
+                    slack: float = 1e-6) -> StratReport:
     """Bound check of |values[h]| <= C p^{(d+i)/2} for mask-defined strata.
 
     The slack absorbs float rendering of exact values: the comparison uses
@@ -232,7 +228,7 @@ def verify_kl_masks(values: np.ndarray, masks: list[np.ndarray], p: int,
                 viol.append((h, float(abs_vals[h]), float(bound)))
         return StratumRecord(i, count, max_abs, max_abs / scale, witness), viol
 
-    results = parallel_map(handle, levels, workers)
+    results = [handle(i) for i in levels]
     records = [r for r, _ in results]
     violations = [v for _, vs in results for v in vs]
     total = sum(r.count for r in records)
@@ -243,14 +239,13 @@ def verify_kl_masks(values: np.ndarray, masks: list[np.ndarray], p: int,
                        passed=not violations)
 
 
-def verify_kl(datum: KLDatum, grid: SumGrid, slack: float = 1e-6,
-              workers: int = 1) -> StratReport:
+def verify_kl(datum: KLDatum, grid: SumGrid, slack: float = 1e-6) -> StratReport:
     """Check one complete grid against a stratification datum.  A prime
     dividing N is flagged (soft), never fatal."""
     excluded = datum.N % grid.p == 0 if datum.N > 1 else False
     masks = datum.chain.masks(grid.p)
     return verify_kl_masks(grid.values, masks, grid.p, datum.C, datum.d,
-                           excluded=excluded, slack=slack, workers=workers)
+                           excluded=excluded, slack=slack)
 
 
 def empirical_exponent_map(grid: SumGrid) -> np.ndarray:

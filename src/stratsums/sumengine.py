@@ -24,7 +24,6 @@ from .cyclo import CycloValue, zeta_table
 from .errors import CapExceeded, DEFAULT_ENUM_CAP, DEFAULT_GRID_CAP, ParseError
 from .ffield import FieldCtx, gauss_sum
 from .polyring import AffineVariety, IntPolynomial
-from .util import parallel_map
 
 _WEIGHT_KINDS = ("root_count", "kloosterman_phase", "kloosterman_value")
 
@@ -107,18 +106,20 @@ class SumValue:
 # -- grid-level polynomial evaluation (base field) ---------------------------
 
 
-def poly_values_grid(f: IntPolynomial, p: int) -> np.ndarray:
-    """f mod p over the full grid F_p^n, shape (p,)*n, int64."""
+def poly_values_grid(f: IntPolynomial, p: int, side: int | None = None) -> np.ndarray:
+    """f mod p over the box [0, side)^n of F_p^n (side defaults to p, the
+    full grid), shape (side,)*n, int64."""
     n = f.nvars
-    mesh = np.indices((p,) * n, dtype=np.int64)
-    out = np.zeros((p,) * n, dtype=np.int64)
+    side = p if side is None else side
+    mesh = np.indices((side,) * n, dtype=np.int64)
+    out = np.zeros((side,) * n, dtype=np.int64)
     pow_cache: dict[int, np.ndarray] = {}
     for exps, coeff in f.terms.items():
-        term = np.full((p,) * n, coeff % p, dtype=np.int64)
+        term = np.full((side,) * n, coeff % p, dtype=np.int64)
         for i, e in enumerate(exps):
             if e:
                 if e not in pow_cache:
-                    pow_cache[e] = np.array([pow(x, e, p) for x in range(p)],
+                    pow_cache[e] = np.array([pow(x, e, p) for x in range(side)],
                                             dtype=np.int64)
                 term = (term * pow_cache[e][mesh[i]]) % p
         out = (out + term) % p
@@ -275,29 +276,24 @@ def eval_sum(spec: SumSpec, ctx: FieldCtx, h=None,
 # -- complete grids (DFT path) ---------------------------------------------------
 
 
-def dft_grid(values: np.ndarray, p: int, sign: int = 1,
-             workers: int = 1) -> np.ndarray:
+def dft_grid(values: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
     """out[h] = sum_x values[x] e(sign * h.x / p): naive length-p transform
-    per axis (matrix product; adequate well past p = 101).  Workers split
-    the output rows of each axis; results are worker-count independent."""
+    per axis (matrix product; adequate well past p = 101)."""
     n = values.ndim
     hs = np.arange(p)
     W = np.exp(sign * 2j * np.pi * np.outer(hs, hs) / p)
     out = values.astype(np.complex128)
     for axis in range(n):
         moved = np.moveaxis(out, axis, 0)
-        rows = parallel_map(lambda h: np.tensordot(W[h], moved, axes=(0, 0)),
-                            range(p), workers)
+        rows = [np.tensordot(W[h], moved, axes=(0, 0)) for h in range(p)]
         out = np.moveaxis(np.stack(rows), 0, axis)
     return out
 
 
-def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1,
-              workers: int = 1) -> np.ndarray:
+def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
     """Exact transform of a zeta-coefficient field: counts has shape
     (p,)*n + (p,), the trailing axis indexing zeta powers.  Multiplying by
-    zeta^s is a roll of that axis.  Workers split the output rows of each
-    axis and write disjoint slots, so output does not depend on the count."""
+    zeta^s is a roll of that axis."""
     n = counts.ndim - 1
     out = counts
     for axis in range(n):
@@ -309,9 +305,27 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1,
                 acc += np.roll(moved[x], (sign * h * x) % p, axis=-1)
             return acc
 
-        rows = parallel_map(row, range(p), workers)
+        rows = [row(h) for h in range(p)]
         out = np.moveaxis(np.stack(rows), 0, axis)
     return out
+
+
+def exact_grid(weight: np.ndarray, idx: np.ndarray, p: int,
+               sign: int = 1) -> SumGrid:
+    """Exact grid of S(h) = sum_x weight[x] zeta^(idx[x] + sign h.x): scatter
+    the pointwise data into a zeta-count field of p^(n+1) cells, transform it
+    with `cyclo_dft`, put each cell in canonical form (min coefficient 0, so
+    exact zeros render as 0) and render it.  Callers hold the count field to
+    their cap before building the pointwise data."""
+    n = weight.ndim
+    counts = np.zeros((p,) * n + (p,), dtype=np.int64)
+    flat_w = weight.reshape(-1)
+    np.add.at(counts.reshape(-1, p), (np.arange(flat_w.size), idx.reshape(-1)),
+              flat_w)
+    out = cyclo_dft(counts, p, sign)
+    out -= out.min(axis=-1, keepdims=True)
+    values = np.tensordot(out, zeta_table(p), axes=([-1], [0]))
+    return SumGrid(p=p, n=n, values=values, counts=out)
 
 
 @dataclass
@@ -433,29 +447,24 @@ def trace_function_grid(spec: SumSpec, p: int):
 
 
 def complete_grid(spec: SumSpec, p: int, sign: int = 1,
-                  cap: int = DEFAULT_GRID_CAP, workers: int = 1) -> SumGrid:
+                  cap: int = DEFAULT_GRID_CAP) -> SumGrid:
     """All sums S(h) = sum_x t(x) psi(h.x) at once, as an n-dimensional
-    transform of the pointwise trace values.  Base field only."""
+    transform of the pointwise trace values.  Base field only.  The cap
+    bounds the largest array: the p^(n+1) zeta counts of an exact grid, the
+    p^n values otherwise."""
     n = spec.nvars
     if spec.linear_form is not None and any(spec.linear_form):
         raise ValueError("complete_grid sweeps all h; fix the spec's linear form to None")
+    if spec.is_exact() and p ** (n + 1) > cap:
+        raise CapExceeded(f"exact grid needs {p}^{n + 1} zeta counts, over cap {cap}")
     if p ** n > cap:
         raise CapExceeded(f"grid {p}^{n} exceeds cap {cap}")
     data = trace_function_grid(spec, p)
     if data[0] == "exact":
         _, weight, idx = data
-        counts = np.zeros((p,) * n + (p,), dtype=np.int64)
-        flat_w = weight.reshape(-1)
-        flat_i = idx.reshape(-1)
-        cflat = counts.reshape(-1, p)
-        np.add.at(cflat, (np.arange(flat_w.size), flat_i), flat_w)
-        out_counts = cyclo_dft(counts, p, sign, workers=workers)
-        # canonical form per cell (min coefficient 0): exact zeros render as 0
-        out_counts -= out_counts.min(axis=-1, keepdims=True)
-        values = np.tensordot(out_counts, zeta_table(p), axes=([-1], [0]))
-        return SumGrid(p=p, n=n, values=values, counts=out_counts)
+        return exact_grid(weight, idx, p, sign)
     _, values = data
-    return SumGrid(p=p, n=n, values=dft_grid(values, p, sign, workers=workers))
+    return SumGrid(p=p, n=n, values=dft_grid(values, p, sign))
 
 
 def S_F_grid(F: IntPolynomial, p: int, cap: int = DEFAULT_GRID_CAP) -> SumGrid:

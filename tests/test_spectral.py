@@ -2,13 +2,14 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
 from stratsums.errors import RankTooHigh
 from stratsums.ffield import FieldCtx, quadratic_gauss_sum
-from stratsums.polyring import AffineVariety, parse_poly
+from stratsums.polyring import AffineVariety, IntPolynomial, parse_poly
 from stratsums.spectral import (
     PowerSumSequence,
     extension_sum,
@@ -34,29 +35,77 @@ def test_generator_power_traces_match_direct():
             acc = ctx.mul(acc, ctx.generator)
 
 
-def test_extension_sum_fast_path_matches_enumeration():
-    specs = [
-        SumSpec(nvars=1, additive_phase=parse_poly("x1^2")),
-        SumSpec(nvars=1, additive_phase=parse_poly("x1^3 + 2*x1")),
-        KLOOSTERMAN,
-    ]
-    for spec in specs:
-        for p, m in [(3, 1), (3, 2), (5, 2)]:
-            ctx = FieldCtx(p, m)
-            fast = extension_sum(spec, ctx)
-            slow = eval_sum(spec, ctx)
-            assert fast.cyclo == slow.cyclo
+DIFF_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+               (7, 1), (7, 2)]
+DIFF_KINDS = ("variety", "phase", "torus", "linear_form", "twist",
+              "root_count", "kloosterman_phase", "kloosterman_value",
+              "half_twist")
 
 
-def test_table_path_matches_enumeration_2var():
+def _random_poly(rng, nvars, q, nterms=3):
+    # one nonconstant term, then exponents q - 1 and q among the rest to
+    # check the reduction of powers mod q - 1
+    lead = [0] * nvars
+    lead[rng.randrange(nvars)] = rng.choice((1, 2, 3))
+    terms = {tuple(lead): rng.choice((1, 2, -1))}
+    for _ in range(nterms - 1):
+        exps = tuple(rng.choice((0, 0, 1, 2, 3, q - 1, q)) for _ in range(nvars))
+        terms[exps] = rng.randint(-3, 3)
+    return IntPolynomial(nvars, terms)
+
+
+def _random_spec(rng, kind, p, m):
+    # one kind per spec, so a twist never meets the Kloosterman value, where
+    # eval_sum drops the twist that the kernel and the grid path apply
+    q = p ** m
+    extra = int(kind == "root_count")
+    sizes = [n for n in (1, 2, 3) if q ** (n + extra) <= 512] or [1]
+    # the largest size twice as often, for more points per case
+    nvars = 1 if kind.startswith("kloosterman") else rng.choice(sizes[-1:] + sizes)
+    kw = dict(nvars=nvars, additive_phase=_random_poly(rng, nvars, q))
+    if kind == "variety" or rng.random() < 0.25:
+        kw["variety"] = AffineVariety(nvars, [_random_poly(rng, nvars, q, 2)])
+    if kind == "linear_form" or rng.random() < 0.25:
+        kw["linear_form"] = tuple(rng.randrange(p) for _ in range(nvars))
+    if kind == "torus":
+        kw["torus"] = True
+    elif kind == "twist":
+        order = rng.choice([d for d in range(1, q) if (q - 1) % d == 0])
+        kw["mult_twist"] = (_random_poly(rng, nvars, q), order,
+                            rng.randrange(1, order + 1))
+    elif kind == "root_count":
+        kw["trace_weight"] = ("root_count", _random_poly(rng, nvars + 1, q))
+    elif kind == "kloosterman_phase":
+        kw["trace_weight"] = ("kloosterman_phase", rng.randrange(p))
+    elif kind == "kloosterman_value":
+        kw["trace_weight"] = ("kloosterman_value",)
+    elif kind == "half_twist":
+        kw["half_twist"] = rng.choice((1, 2))
+    return SumSpec(**kw)
+
+
+def test_extension_sum_kernel_matches_eval_sum():
+    # the trace-window kernel against FieldElem enumeration: fixed specs,
+    # then seeded random specs of every kind over small fields
     V = AffineVariety(2, [parse_poly("x1^2 + x2^2")])
-    spec = SumSpec(nvars=2, variety=V)
-    for p, m in [(3, 1), (3, 2), (5, 1)]:
+    cases = [(spec, p, m)
+             for spec in (SumSpec(nvars=1, additive_phase=parse_poly("x1^2")),
+                          SumSpec(nvars=1, additive_phase=parse_poly("x1^3 + 2*x1")),
+                          KLOOSTERMAN)
+             for p, m in [(3, 1), (3, 2), (5, 2)]]
+    cases += [(SumSpec(nvars=2, variety=V), p, m) for p, m in [(3, 1), (3, 2), (5, 1)]]
+    rng = random.Random(20250618)
+    for kind in DIFF_KINDS:
+        for _ in range(6):
+            p, m = rng.choice(DIFF_FIELDS)
+            cases.append((_random_spec(rng, kind, p, m), p, m))
+    for spec, p, m in cases:
         ctx = FieldCtx(p, m)
-        fast = extension_sum(spec, ctx)
-        slow = eval_sum(spec, ctx)
-        assert fast.cyclo == slow.cyclo
-        assert fast.n_points == slow.n_points
+        got, want = extension_sum(spec, ctx), eval_sum(spec, ctx)
+        assert got.cyclo == want.cyclo, (spec, p, m)
+        assert got.n_points == want.n_points, (spec, p, m)
+        assert got.twist_zeros == want.twist_zeros, (spec, p, m)
+        assert abs(got.value - want.value) <= 1e-9, (spec, p, m)
 
 
 def test_kloosterman_s1_p5_golden():

@@ -99,14 +99,6 @@ def test_verify_kl_excluded_prime_flag():
     assert not verify_kl(datum2, grid).excluded_prime
 
 
-def test_verify_worker_count_invariance():
-    grid = linear_space_grid(4, 3)
-    datum = KLDatum(chain=linear_chain(4), N=1, C=1.0, d=2)
-    r1 = verify_kl(datum, grid, workers=1)
-    r3 = verify_kl(datum, grid, workers=3)
-    assert r1.to_json_dict() == r3.to_json_dict()
-
-
 def test_witnesses_achieve_min_C():
     grid = linear_space_grid(3, 5)
     datum = KLDatum(chain=linear_chain(3), N=1, C=1.0, d=1)

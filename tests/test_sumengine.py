@@ -337,3 +337,10 @@ def test_csv_round_trip(tmp_path):
 def test_grid_cap():
     with pytest.raises(CapExceeded):
         complete_grid(SumSpec(nvars=4), 11, cap=1000)
+
+
+def test_exact_grid_cap_counts_zeta_cells():
+    # 257^3 cells pass a p^n count of the default cap, but the exact grid's
+    # 257^4 zeta counts (about 35 GB) must be refused before allocation
+    with pytest.raises(CapExceeded):
+        complete_grid(SumSpec(nvars=3), 257)
