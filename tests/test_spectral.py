@@ -84,21 +84,8 @@ def _random_spec(rng, kind, p, m):
     return SumSpec(**kw)
 
 
-def test_extension_sum_kernel_matches_eval_sum():
-    # the trace-window kernel against FieldElem enumeration: fixed specs,
-    # then seeded random specs of every kind over small fields
-    V = AffineVariety(2, [parse_poly("x1^2 + x2^2")])
-    cases = [(spec, p, m)
-             for spec in (SumSpec(nvars=1, additive_phase=parse_poly("x1^2")),
-                          SumSpec(nvars=1, additive_phase=parse_poly("x1^3 + 2*x1")),
-                          KLOOSTERMAN)
-             for p, m in [(3, 1), (3, 2), (5, 2)]]
-    cases += [(SumSpec(nvars=2, variety=V), p, m) for p, m in [(3, 1), (3, 2), (5, 1)]]
-    rng = random.Random(20250618)
-    for kind in DIFF_KINDS:
-        for _ in range(6):
-            p, m = rng.choice(DIFF_FIELDS)
-            cases.append((_random_spec(rng, kind, p, m), p, m))
+def _assert_kernel_matches_eval_sum(cases):
+    # the trace-window kernel against FieldElem enumeration
     for spec, p, m in cases:
         ctx = FieldCtx(p, m)
         got, want = extension_sum(spec, ctx), eval_sum(spec, ctx)
@@ -106,6 +93,35 @@ def test_extension_sum_kernel_matches_eval_sum():
         assert got.n_points == want.n_points, (spec, p, m)
         assert got.twist_zeros == want.twist_zeros, (spec, p, m)
         assert abs(got.value - want.value) <= 1e-9, (spec, p, m)
+
+
+def test_extension_sum_fast_path_matches_enumeration():
+    # one-variable specs: additive phases and the Kloosterman sum
+    specs = [
+        SumSpec(nvars=1, additive_phase=parse_poly("x1^2")),
+        SumSpec(nvars=1, additive_phase=parse_poly("x1^3 + 2*x1")),
+        KLOOSTERMAN,
+    ]
+    _assert_kernel_matches_eval_sum(
+        [(spec, p, m) for spec in specs for p, m in [(3, 1), (3, 2), (5, 2)]])
+
+
+def test_table_path_matches_enumeration_2var():
+    V = AffineVariety(2, [parse_poly("x1^2 + x2^2")])
+    spec = SumSpec(nvars=2, variety=V)
+    _assert_kernel_matches_eval_sum(
+        [(spec, p, m) for p, m in [(3, 1), (3, 2), (5, 1)]])
+
+
+def test_extension_sum_kernel_matches_eval_sum():
+    # seeded random specs of every kind over small fields
+    rng = random.Random(20250618)
+    cases = []
+    for kind in DIFF_KINDS:
+        for _ in range(6):
+            p, m = rng.choice(DIFF_FIELDS)
+            cases.append((_random_spec(rng, kind, p, m), p, m))
+    _assert_kernel_matches_eval_sum(cases)
 
 
 def test_kloosterman_s1_p5_golden():
