@@ -86,8 +86,6 @@ def _build_spec(args) -> SumSpec:
     if getattr(args, "f", None):
         f = parse_poly(args.f, nvars=nvars)
         nvars = f.nvars if nvars is None else nvars
-        if f.nvars < nvars:
-            f = parse_poly(args.f, nvars=nvars)
     twist = None
     if getattr(args, "g", None):
         if not args.chi_order:

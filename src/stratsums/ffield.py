@@ -2,8 +2,8 @@
 
 A FieldCtx owns one concrete model of F_{p^m}: a monic irreducible modulus
 over F_p, a fixed multiplicative generator, and (lazily) discrete-log and
-trace tables.  Elements are immutable coefficient vectors; every operation
-is a pure function, so a context can be shared freely between workers.
+trace tables.  Elements are immutable coefficient vectors, and every
+operation is a pure function.
 """
 
 from __future__ import annotations

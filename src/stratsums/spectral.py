@@ -51,28 +51,59 @@ def _extension_ctx(p: int, n: int, modulus_choice: str, cap: int) -> FieldCtx:
 def generator_power_traces(ctx: FieldCtx) -> np.ndarray:
     """s_b = Tr(g^b) for b in [0, q-1), via the linear recurrence whose
     characteristic polynomial is the minimal polynomial of the generator.
-    A generator is primitive, so its minimal polynomial has full degree m."""
+    A generator is primitive, so its minimal polynomial has full degree m.
+
+    With M the companion matrix, the windows W[b] = (s[b], .., s[b+m-1])
+    obey W[b+1] = W[b] M, so s[jL + r] = W[0] M^(jL) . M^r e_0: both factor
+    lists are built by doubling and meet in one product.  Entries stay below
+    m p^2 before each reduction, inside int64 under the field cap."""
     q, p, m = ctx.q, ctx.p, ctx.m
     g = ctx.generator
     mp = ctx.min_poly(g)
     if len(mp) - 1 != m:
         raise AssertionError("generator minimal polynomial is not full degree")
-    s = np.zeros(q - 1, dtype=np.int64)
-    acc = ctx.one()
-    for b in range(min(m, q - 1)):
-        s[b] = ctx.trace_to_base(acc)
+    M = np.eye(m, k=-1, dtype=np.int64)  # W[b+1][j] = W[b][j+1] for j < m-1
+    M[:, -1] = [(-c) % p for c in mp[:m]]  # s[b+m] = sum_k -mp[k] s[b+k]
+    first, acc = [], ctx.one()
+    for _ in range(m):
+        first.append(ctx.trace_to_base(acc))
         acc = ctx.mul(acc, g)
-    lower = [(-c) % p for c in mp[:m]]  # s[b] = sum_k lower[k] s[b-m+k]
-    sl = s.tolist()
-    for b in range(m, q - 1):
-        acc_v = 0
-        for k in range(m):
-            acc_v += lower[k] * sl[b - m + k]
-        sl[b] = acc_v % p
-    return np.array(sl, dtype=np.int64)
+    t = ((q - 2).bit_length() + 1) // 2
+    L = 1 << t  # L^2 >= q-1
+    ML = M
+    for _ in range(t):
+        ML = ML @ ML % p
+    cols = _orbit(np.eye(1, m, dtype=np.int64)[0], M.T, L, p)  # (M^r e_0)^T
+    rows = _orbit(np.array(first, dtype=np.int64), ML, -(-(q - 1) // L), p)
+    return (rows @ cols.T % p).reshape(-1)[:q - 1]
 
 
-def _poly_windows(f: IntPolynomial, ks, size: int, W, p: int) -> np.ndarray:
+def _orbit(v: np.ndarray, A: np.ndarray, count: int, p: int) -> np.ndarray:
+    """Rows v A^i mod p for i < count, by doubling."""
+    out = np.empty((count, len(v)), dtype=np.int64)
+    out[0] = v
+    done, step = 1, A
+    while done < count:
+        k = min(done, count - done)
+        np.matmul(out[:k], step, out=out[done:done + k])
+        out[done:done + k] %= p
+        done += k
+        step = step @ step % p
+    return out
+
+
+def trace_windows(ctx: FieldCtx) -> np.ndarray:
+    """W[k] = (Tr(g^j x))_{j<m} = (s[k], .., s[k+m-1]) for x = g^k, shape
+    (q-1, m): a read-only view over the generator power traces s.  x -> W
+    is an F_p-linear bijection F_q -> F_p^m (the trace form is
+    nondegenerate and 1, g, .., g^{m-1} a basis), so x = 0 exactly when
+    its window is, and the window of a sum is the sum of the windows."""
+    s = generator_power_traces(ctx)
+    return np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((s, s[:ctx.m - 1])), ctx.m)
+
+
+def poly_windows(f: IntPolynomial, ks, size: int, W, p: int) -> np.ndarray:
     """Trace windows of f on a block of `size` points, shape (size, m).
 
     ks[i] holds the exponents k of x_i = g^k, or None where x_i = 0.  A term
@@ -94,9 +125,9 @@ def _poly_windows(f: IntPolynomial, ks, size: int, W, p: int) -> np.ndarray:
     return out
 
 
-def _face_blocks(nvars: int, torus: bool, qm1: int, block: int):
+def face_blocks(nvars: int, torus: bool, qm1: int, block: int):
     """Points of F_q^nvars one face (zero pattern) at a time, in blocks of
-    at most `block`: yields (ks, size) in the form `_poly_windows` takes."""
+    at most `block`: yields (ks, size) in the form `poly_windows` takes."""
     patterns = (False,) if torus else (False, True)
     for zero in itertools.product(patterns, repeat=nvars):
         live = [i for i in range(nvars) if not zero[i]]
@@ -113,10 +144,10 @@ def _root_counts(F: IntPolynomial, ks, size: int, W, p: int) -> np.ndarray:
     """#{y : F(y, x) = 0} at each point x of a block: y is one more
     coordinate, zero or g^j for every j."""
     qm1 = len(W)
-    count = ~_poly_windows(F, [None, *ks], size, W, p).any(axis=1)
+    count = ~poly_windows(F, [None, *ks], size, W, p).any(axis=1)
     ys = np.tile(np.arange(qm1, dtype=np.int64), size)
     xs = [None if k is None else np.repeat(k, qm1) for k in ks]
-    hits = ~_poly_windows(F, [ys, *xs], size * qm1, W, p).any(axis=1)
+    hits = ~poly_windows(F, [ys, *xs], size * qm1, W, p).any(axis=1)
     return count + hits.reshape(size, qm1).sum(axis=1)
 
 
@@ -125,17 +156,13 @@ def _summand_blocks(spec: SumSpec, ctx: FieldCtx):
     by block: yields (phase, amp, n_points, twist_zeros), the summand at
     each domain point off the twist zeros being amp * psi(phase).
 
-    Every element x = g^k is handled through its trace window
-    W[k] = (Tr(g^j x))_{j<m} = (s[k], .., s[k+m-1]), s the generator power
-    traces: x -> W is an F_p-linear bijection F_q -> F_p^m (the trace form
-    is nondegenerate and 1, g, .., g^{m-1} a basis), so zero tests look at
-    all m digits and the additive phase at digit 0, the trace.  amp is an
-    integer weight unless a twist or the Kloosterman value makes it
-    complex."""
+    Every element x = g^k is handled through its trace window W[k] (see
+    `trace_windows`): zero tests look at all m digits and the additive
+    phase at digit 0, the trace.  amp is an integer weight unless a twist
+    or the Kloosterman value makes it complex."""
     p, q, m, n = ctx.p, ctx.q, ctx.m, spec.nvars
     qm1 = q - 1
-    s = generator_power_traces(ctx)
-    W = np.lib.stride_tricks.sliding_window_view(np.concatenate((s, s[:m - 1])), m)
+    W = trace_windows(ctx)
     kind = spec.trace_weight[0] if spec.trace_weight else None
 
     phase_poly = spec.additive_phase or IntPolynomial.zero(n)
@@ -156,26 +183,26 @@ def _summand_blocks(spec: SumSpec, ctx: FieldCtx):
         chi_by_key[W @ key_weights] = np.exp(1j * ang)
     kl = None
     if kind == "kloosterman_value":  # -Kl(g^b)/sqrt(q) = -(f*f)[b]/sqrt(q)
-        f = zeta_table(p)[s]
+        f = zeta_table(p)[W[:, 0]]
         kl = -np.fft.ifft(np.fft.fft(f) ** 2) / np.sqrt(q)
     F = spec.trace_weight[1] if kind == "root_count" else None
     block = max(1, _BLOCK // q) if F is not None else _BLOCK
 
-    for ks, size in _face_blocks(n, spec.torus, qm1, block):
+    for ks, size in face_blocks(n, spec.torus, qm1, block):
         if spec.variety is not None:
             inside = np.ones(size, dtype=bool)
             for gen in spec.variety.generators:
-                inside &= ~_poly_windows(gen, ks, size, W, p).any(axis=1)
+                inside &= ~poly_windows(gen, ks, size, W, p).any(axis=1)
             ks = [None if k is None else k[inside] for k in ks]
             size = int(inside.sum())
-        phase = _poly_windows(phase_poly, ks, size, W[:, :1], p)[:, 0]  # Tr only
+        phase = poly_windows(phase_poly, ks, size, W[:, :1], p)[:, 0]  # Tr only
         amp = np.ones(size, dtype=np.int64) if F is None \
             else _root_counts(F, ks, size, W, p)
         twist_zeros = 0
         if kl is not None:
             amp = amp * kl[ks[0]]
         if chi_by_key is not None:
-            chi = chi_by_key[_poly_windows(g, ks, size, W, p) @ key_weights]
+            chi = chi_by_key[poly_windows(g, ks, size, W, p) @ key_weights]
             live = chi != 0
             twist_zeros = size - int(live.sum())
             phase, amp = phase[live], amp[live] * chi[live]

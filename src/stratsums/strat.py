@@ -15,7 +15,6 @@ Stratum dimensions are never certified symbolically; the point-count shadow
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ import numpy as np
 from .errors import CapExceeded, ChainContainmentError
 from .ffield import FieldCtx
 from .polyring import AffineVariety, IntPolynomial, parse_poly, poly_to_string
+from .spectral import _BLOCK, face_blocks, poly_windows, trace_windows
 from .sumengine import SumGrid, variety_mask
 
 # containment is checked exhaustively only while p^n stays this small
@@ -277,20 +277,23 @@ def exponent_histogram(exponents: np.ndarray, snap: float = 0.5) -> dict:
 _PROJECTIVE_CAP = 1 << 20
 
 
-def _projective_points(ctx: FieldCtx, n: int):
-    """One representative per projective point of P^{n-1} over ctx."""
-    total = sum(ctx.q ** k for k in range(n))
-    if total > _PROJECTIVE_CAP:
-        raise CapExceeded(
-            f"projective sweep of ~{total} points over F_{ctx.p}^{ctx.m} "
-            f"exceeds cap {_PROJECTIVE_CAP}")
-    zero = ctx.zero()
-    one = ctx.one()
-    elems = list(ctx.elements())
-    for lead in range(n):
-        # first nonzero coordinate normalized to 1
-        for tail in itertools.product(elems, repeat=n - lead - 1):
-            yield [zero] * lead + [one] + list(tail)
+def _projective_windows(polys, n: int, p: int, max_ext: int):
+    """Trace windows of `polys` on the points of P^{n-1}(F_{p^e}),
+    e = 1..max_ext, in blocks of at most _BLOCK points: yields one (size, e)
+    window array per polynomial.  A point is (0, .., 0, 1, tail) with
+    1 = g^0; a zero test on a window is a zero test on the value."""
+    for e in range(1, max_ext + 1):
+        q = p ** e
+        total = sum(q ** k for k in range(n))
+        if total > _PROJECTIVE_CAP:
+            raise CapExceeded(
+                f"projective sweep of ~{total} points over F_{p}^{e} "
+                f"exceeds cap {_PROJECTIVE_CAP}")
+        W = trace_windows(FieldCtx(p, e))
+        for lead in range(n):
+            for tail, size in face_blocks(n - lead - 1, False, q - 1, _BLOCK):
+                ks = [None] * lead + [np.zeros(size, dtype=np.int64), *tail]
+                yield [poly_windows(f, ks, size, W, p) for f in polys]
 
 
 def dual_variety_membership(F: IntPolynomial, v, p: int, max_ext: int = 2,
@@ -299,10 +302,10 @@ def dual_variety_membership(F: IntPolynomial, v, p: int, max_ext: int = 2,
     the dual hypersurface of {F = 0}.
 
     Looks for a projective point x over F_{p^e}, e <= max_ext, with F(x) = 0,
-    v.x = 0, and grad F(x) proportional to v.  Returns "member" on a find;
-    "nonmember" only when max_ext reaches the caller-supplied sufficient
-    bound for this instance (a heuristic, documented as such); otherwise
-    "undetermined".
+    v.x = 0, and grad F(x) proportional to v (every minor
+    v_j G_i - v_i G_j vanishes).  Returns "member" on a find; "nonmember"
+    only when max_ext reaches the caller-supplied sufficient bound for this
+    instance (a heuristic, documented as such); otherwise "undetermined".
     """
     if not F.is_homogeneous():
         raise ValueError("F must be homogeneous")
@@ -311,34 +314,19 @@ def dual_variety_membership(F: IntPolynomial, v, p: int, max_ext: int = 2,
         raise ValueError("v dimension mismatch")
     if all(x % p == 0 for x in v):
         raise ValueError("v must be nonzero")
-    grads = F.gradient()
-    for e in range(1, max_ext + 1):
-        ctx = FieldCtx(p, e)
-        velems = [ctx.elem(int(x) % p) for x in v]
-        for x in _projective_points(ctx, n):
-            if not F.eval_mod(x).is_zero():
-                continue
-            dot = ctx.zero()
-            for vi, xi in zip(velems, x):
-                dot = dot + vi * xi
-            if not dot.is_zero():
-                continue
-            gvals = [g.eval_mod(x) for g in grads]
-            if _proportional(gvals, velems, ctx):
-                return "member"
+    v = [int(x) % p for x in v]
+    G = F.gradient()
+    dot = IntPolynomial.zero(n)
+    for i, vi in enumerate(v):
+        dot = dot + IntPolynomial.variable(i, n) * vi
+    minors = [G[i] * v[j] - G[j] * v[i]
+              for i in range(n) for j in range(i + 1, n)]
+    for windows in _projective_windows([F, dot, *minors], n, p, max_ext):
+        if not np.concatenate(windows, axis=1).any(axis=1).all():
+            return "member"
     if sufficient_ext is not None and max_ext >= sufficient_ext:
         return "nonmember"
     return "undetermined"
-
-
-def _proportional(a, b, ctx) -> bool:
-    """All 2x2 minors of the two vectors vanish."""
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (a[i] * b[j] - a[j] * b[i]).is_zero():
-                return False
-    return True
 
 
 def dual_points_mask(F: IntPolynomial, p: int, max_ext: int = 2) -> np.ndarray:
@@ -347,7 +335,10 @@ def dual_points_mask(F: IntPolynomial, p: int, max_ext: int = 2) -> np.ndarray:
     direction that is projectively rational over F_p marks its F_p-line.
 
     By the Euler relation (p coprime to deg F), v.x = 0 holds automatically
-    at marked points, so the sweep needs only F(x) = 0.
+    at marked points, so the sweep needs only F(x) = 0.  With L the window
+    of the first nonzero gradient coordinate and j the first nonzero digit
+    of L, the direction is F_p-rational iff every G_i = c_i L with
+    c_i = G_i[j] / L[j] mod p, the window map being F_p-linear.
     """
     if not F.is_homogeneous():
         raise ValueError("F must be homogeneous")
@@ -356,50 +347,26 @@ def dual_points_mask(F: IntPolynomial, p: int, max_ext: int = 2) -> np.ndarray:
     n = F.nvars
     mask = np.zeros((p,) * n, dtype=bool)
     mask[(0,) * n] = True  # the cone vertex
-    grads = F.gradient()
-    for e in range(1, max_ext + 1):
-        ctx = FieldCtx(p, e)
-        for x in _projective_points(ctx, n):
-            if not F.eval_mod(x).is_zero():
-                continue
-            gvals = [g.eval_mod(x) for g in grads]
-            direction = _rational_direction(gvals, ctx)
-            if direction is None:
-                continue
-            for lam in range(1, p):
-                mask[tuple((lam * c) % p for c in direction)] = True
+    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+    lams = np.arange(1, p, dtype=np.int64)
+    for Fw, *grads in _projective_windows([F, *F.gradient()], n, p, max_ext):
+        G = np.stack(grads)[:, ~Fw.any(axis=1)]  # (n, points on F = 0, e)
+        G = G[:, G.any(axis=(0, 2))]
+        cols = np.arange(G.shape[1])
+        L = G[G.any(axis=2).argmax(axis=0), cols]
+        j = L.astype(bool).argmax(axis=1)
+        c = G[:, cols, j] * inv[L[cols, j]] % p
+        rational = (G == c[:, :, None] * L % p).all(axis=(0, 2))
+        mask[tuple(c[:, rational, None] * lams % p)] = True
     return mask
-
-
-def _rational_direction(gvals, ctx) -> tuple | None:
-    """Normalize a nonzero extension vector by its first nonzero coordinate;
-    return base-field coordinates if all ratios land in F_p, else None."""
-    lead = None
-    for gv in gvals:
-        if not gv.is_zero():
-            lead = gv
-            break
-    if lead is None:
-        return None
-    inv = lead.inverse()
-    coords = []
-    for gv in gvals:
-        w = gv * inv
-        if any(c != 0 for c in w.coeffs[1:]):
-            return None
-        coords.append(w.coeffs[0])
-    return tuple(coords)
 
 
 def smoothness_check(F: IntPolynomial, p: int, max_ext: int = 2) -> bool:
     """No projective singular point (all partials zero) over F_{p^e},
     e <= max_ext: brute-force smoothness screen for the cone away from 0."""
-    grads = F.gradient()
-    for e in range(1, max_ext + 1):
-        ctx = FieldCtx(p, e)
-        for x in _projective_points(ctx, F.nvars):
-            if all(g.eval_mod(x).is_zero() for g in grads):
-                return False
+    for windows in _projective_windows(F.gradient(), F.nvars, p, max_ext):
+        if not np.concatenate(windows, axis=1).any(axis=1).all():
+            return False
     return True
 
 

@@ -225,6 +225,7 @@ def eval_sum(spec: SumSpec, ctx: FieldCtx, h=None,
     n_points = 0
     twist_zeros = 0
     kl_values = _kloosterman_raw_table(ctx) if kind == "kloosterman_value" else None
+    complex_sum = kind == "kloosterman_value" or chi_tab is not None
 
     for point in enumerate_points(spec.variety, ctx, spec.nvars, spec.torus, cap):
         n_points += 1
@@ -249,19 +250,19 @@ def eval_sum(spec: SumSpec, ctx: FieldCtx, h=None,
             idx = (idx + ctx.trace_to_base(lin)) % p
 
         if kind == "kloosterman_value":
-            tval = -kl_values[point[0].rank] / np.sqrt(ctx.q)
-            acc += tval * zeta[idx]
-        elif chi_tab is not None:
-            g = spec.mult_twist[0]
-            gval = g.eval_mod(point)
+            weight = -kl_values[point[0].rank] / np.sqrt(ctx.q)
+        if chi_tab is not None:  # chi applies after the summand
+            gval = spec.mult_twist[0].eval_mod(point)
             if gval.is_zero():
                 twist_zeros += 1
                 continue
-            acc += weight * chi_tab[gval.rank] * zeta[idx]
+            weight = weight * chi_tab[gval.rank]
+        if complex_sum:
+            acc += weight * zeta[idx]
         else:
             counts[idx] += weight
 
-    if kind == "kloosterman_value" or chi_tab is not None:
+    if complex_sum:
         value, cyc = complex(acc), None
     else:
         cyc = CycloValue(p, counts)

@@ -26,7 +26,7 @@ KLOOSTERMAN = SumSpec(nvars=1, trace_weight=("kloosterman_phase", 1), torus=True
 
 
 def test_generator_power_traces_match_direct():
-    for p, m in [(5, 2), (3, 3), (7, 1)]:
+    for p, m in [(5, 2), (3, 3), (7, 1), (2, 5), (3, 4)]:
         ctx = FieldCtx(p, m)
         s = generator_power_traces(ctx)
         acc = ctx.one()
@@ -55,8 +55,6 @@ def _random_poly(rng, nvars, q, nterms=3):
 
 
 def _random_spec(rng, kind, p, m):
-    # one kind per spec, so a twist never meets the Kloosterman value, where
-    # eval_sum drops the twist that the kernel and the grid path apply
     q = p ** m
     extra = int(kind == "root_count")
     sizes = [n for n in (1, 2, 3) if q ** (n + extra) <= 512] or [1]
@@ -67,12 +65,12 @@ def _random_spec(rng, kind, p, m):
         kw["variety"] = AffineVariety(nvars, [_random_poly(rng, nvars, q, 2)])
     if kind == "linear_form" or rng.random() < 0.25:
         kw["linear_form"] = tuple(rng.randrange(p) for _ in range(nvars))
-    if kind == "torus":
-        kw["torus"] = True
-    elif kind == "twist":
+    if kind == "twist" or kind == "kloosterman_value" and rng.random() < 0.5:
         order = rng.choice([d for d in range(1, q) if (q - 1) % d == 0])
         kw["mult_twist"] = (_random_poly(rng, nvars, q), order,
                             rng.randrange(1, order + 1))
+    if kind == "torus":
+        kw["torus"] = True
     elif kind == "root_count":
         kw["trace_weight"] = ("root_count", _random_poly(rng, nvars + 1, q))
     elif kind == "kloosterman_phase":

@@ -3,12 +3,15 @@
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
+from stratsums import strat
 from stratsums.errors import ChainContainmentError
-from stratsums.polyring import AffineVariety, parse_poly
+from stratsums.ffield import FieldCtx
+from stratsums.polyring import AffineVariety, IntPolynomial, parse_poly, poly_to_string
 from stratsums.strat import (
     KLDatum,
     VarietyChain,
@@ -230,6 +233,114 @@ def test_smoothness_check():
     # x1*x2 has a singular projective point along e_3? gradient (x2, x1, 0):
     # vanishes at [0:0:1], which lies on the cone {x1 x2 = 0}
     assert not smoothness_check(parse_poly("x1*x2", nvars=3), 7)
+
+
+# a scalar FieldElem reference for the windowed projective sweep: per-point
+# evaluation at every point of P^{n-1}(F_{p^e})
+
+
+def _ref_points(F, p, max_ext):
+    """(ctx, x, F(x), grad F(x)) at one representative of every point of
+    P^{n-1}(F_{p^e}), e <= max_ext."""
+    grads = F.gradient()
+    for e in range(1, max_ext + 1):
+        ctx = FieldCtx(p, e)
+        elems = list(ctx.elements())
+        for lead in range(F.nvars):
+            for tail in itertools.product(elems, repeat=F.nvars - lead - 1):
+                x = [ctx.zero()] * lead + [ctx.one(), *tail]
+                yield ctx, x, F.eval_mod(x), [g.eval_mod(x) for g in grads]
+
+
+def _ref_smooth(points):
+    return not any(all(g.is_zero() for g in G) for *_, G in points)
+
+
+def _ref_dual_mask(points, n, p):
+    mask = np.zeros((p,) * n, dtype=bool)
+    mask[(0,) * n] = True
+    for _, _, value, G in points:
+        lead = next((g for g in G if not g.is_zero()), None)
+        if not value.is_zero() or lead is None:
+            continue
+        ratios = [g * lead.inverse() for g in G]
+        if all(c == 0 for w in ratios for c in w.coeffs[1:]):
+            for lam in range(1, p):
+                mask[tuple(lam * w.coeffs[0] % p for w in ratios)] = True
+    return mask
+
+
+def _ref_member(points, v):
+    n = len(v)
+    for ctx, x, value, G in points:
+        vs = [ctx.elem(c) for c in v]
+        dot = sum((a * b for a, b in zip(vs, x)), ctx.zero())
+        if value.is_zero() and dot.is_zero() and all(
+                (G[i] * vs[j] - G[j] * vs[i]).is_zero()
+                for i in range(n) for j in range(i + 1, n)):
+            return True
+    return False
+
+
+def _random_form(rng, n, d, p):
+    """A random homogeneous form of degree d, each monomial present with
+    probability 2/3; a third of them leave out x_n, which makes the point
+    e_n singular."""
+    live = n - 1 if rng.random() < 1 / 3 else n
+    terms = {}
+    for exps in itertools.product(range(d + 1), repeat=live):
+        if sum(exps) == d and rng.random() < 2 / 3:
+            terms[exps + (0,) * (n - live)] = rng.randrange(1, p)
+    terms = terms or {(d,) + (0,) * (n - 1): 1}
+    return IntPolynomial(n, terms)
+
+
+def _sweep_cases():
+    rng = random.Random(20250618)
+    cases = []
+    while len(cases) < 30:
+        n, d = rng.choice((2, 3, 4)), rng.randint(2, 4)
+        p, max_ext = rng.choice((2, 3, 5, 7, 11)), rng.choice((1, 2, 2))
+        if sum(p ** (e * k) for e in range(1, max_ext + 1) for k in range(n)) > 700:
+            continue
+        vs = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(3)]
+        cases.append((_random_form(rng, n, d, p), p, max_ext, vs))
+    return cases
+
+
+def test_projective_sweep_matches_fieldelem_reference(monkeypatch):
+    smooth = singular = divisible = members = 0
+    for F, p, max_ext, vs in _sweep_cases():
+        n = F.nvars
+        points = list(_ref_points(F, p, max_ext))
+        want_smooth = _ref_smooth(points)
+        smooth, singular = smooth + want_smooth, singular + (not want_smooth)
+        want_mask = None
+        if F.degree() % p:
+            want_mask = _ref_dual_mask(points, n, p)
+        else:
+            divisible += 1
+        if want_mask is not None:  # a few known members too
+            vs += [tuple(int(c) for c in h) for h in np.argwhere(want_mask)[1:3]]
+        vs = [v for v in vs if any(v)]
+        want_member = [_ref_member(points, v) for v in vs]
+        members += sum(want_member)
+        for block in (strat._BLOCK, 64):  # one block per face, and several
+            monkeypatch.setattr(strat, "_BLOCK", block)
+            case = (poly_to_string(F), p, max_ext, block)
+            assert smoothness_check(F, p, max_ext=max_ext) == want_smooth, case
+            if want_mask is None:
+                with pytest.raises(ValueError):
+                    dual_points_mask(F, p, max_ext=max_ext)
+            else:
+                got = dual_points_mask(F, p, max_ext=max_ext)
+                assert np.array_equal(got, want_mask), case
+            for v, want in zip(vs, want_member):
+                got = dual_variety_membership(F, v, p, max_ext=max_ext,
+                                              sufficient_ext=max_ext)
+                assert got == ("member" if want else "nonmember"), (case, v)
+    # the seeded cases reach every branch
+    assert smooth and singular and divisible and members
 
 
 def test_codim_shadow_check():
