@@ -11,6 +11,7 @@ output is deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .ffield import FieldCtx, is_prime
 from .polyring import AffineVariety, parse_poly
-from .spectral import extension_sums, fit_recurrence, weight_check
+from .spectral import extension_sum, extension_sums, fit_recurrence, weight_check
 from .strat import KLDatum, VarietyChain, verify_kl
 from .sumengine import SumSpec, complete_grid, eval_sum
 
@@ -109,7 +110,7 @@ def cmd_sum(args) -> int:
     h = _parse_int_list(args.h) if args.h else None
     if h is not None and len(h) != spec.nvars:
         raise ParseError(f"--h needs {spec.nvars} components")
-    out = eval_sum(spec, ctx, h=h, cap=args.cap)
+    out = extension_sum(dataclasses.replace(spec, linear_form=h), ctx, cap=args.cap)
     if out.cyclo is not None:
         print(f"exact: {out.cyclo}  (zeta_{args.p} counts {out.cyclo.counts})")
     print(f"value: {out.value.real:.12g} + {out.value.imag:.12g}i")

@@ -131,19 +131,6 @@ class IntPolynomial:
 
     # -- evaluation -----------------------------------------------------------
 
-    def evaluate_int(self, point) -> int:
-        """Exact evaluation at an integer point."""
-        if len(point) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        total = 0
-        for exps, coeff in self.terms.items():
-            v = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    v *= x ** e
-            total += v
-        return total
-
     def eval_mod(self, point) -> "FieldElem":
         """Value at a point of F_{p^m}^nvars, coefficients reduced into the
         field.  All coordinates must share one context."""

@@ -151,10 +151,12 @@ def _root_counts(F: IntPolynomial, ks, size: int, W, p: int) -> np.ndarray:
     return count + hits.reshape(size, qm1).sum(axis=1)
 
 
-def _summand_blocks(spec: SumSpec, ctx: FieldCtx):
+def summand_blocks(spec: SumSpec, ctx: FieldCtx):
     """The summands of `spec` over F_q^nvars, before the half twist, block
-    by block: yields (phase, amp, n_points, twist_zeros), the summand at
-    each domain point off the twist zeros being amp * psi(phase).
+    by block: yields (ks, phase, amp, n_points, twist_zeros), the summand at
+    each domain point off the twist zeros being amp * psi(phase).  ks holds
+    the points' exponents in the form `poly_windows` takes, with the twist
+    zeros filtered out like phase and amp.
 
     Every element x = g^k is handled through its trace window W[k] (see
     `trace_windows`): zero tests look at all m digits and the additive
@@ -206,7 +208,8 @@ def _summand_blocks(spec: SumSpec, ctx: FieldCtx):
             live = chi != 0
             twist_zeros = size - int(live.sum())
             phase, amp = phase[live], amp[live] * chi[live]
-        yield phase, amp, size, twist_zeros
+            ks = [None if k is None else k[live] for k in ks]
+        yield ks, phase, amp, size, twist_zeros
 
 
 def extension_sum(spec: SumSpec, ctx: FieldCtx,
@@ -223,7 +226,7 @@ def extension_sum(spec: SumSpec, ctx: FieldCtx,
     counts = np.zeros(p, dtype=np.int64)
     acc = 0j
     n_points = twist_zeros = 0
-    for phase, amp, size, zeros in _summand_blocks(spec, ctx):
+    for _, phase, amp, size, zeros in summand_blocks(spec, ctx):
         n_points += size
         twist_zeros += zeros
         if counted:  # a block sums below 2^53, so the float counts are exact
@@ -405,7 +408,7 @@ def quasi_orthonormality(spec: SumSpec, p: int, N: int,
             raise CapExceeded(f"extension {p}^{n} exceeds cap {cap}")
         ctx = FieldCtx(p, n, cap=max(cap, p ** n))
         total = sum(float(np.sum(np.abs(amp) ** 2))
-                    for _, amp, _, _ in _summand_blocks(spec, ctx))
+                    for _, _, amp, _, _ in summand_blocks(spec, ctx))
         values.append(total / ctx.q ** spec.half_twist)
     monotone = all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     return MeanSquareReport(values=values, monotone_increasing=monotone,

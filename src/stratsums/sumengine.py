@@ -4,9 +4,13 @@ and complete parameter grids via multidimensional DFT over F_p^n.
 Two independent evaluation paths are kept deliberately separate so each can
 serve as the other's oracle:
 
-* `eval_sum` enumerates points and accumulates character values;
-* `complete_grid` builds the pointwise trace values once and applies a
-  length-p DFT per axis (naive O(p^2) transform, vectorized).
+* `eval_sum` enumerates points and accumulates character values: the
+  scalar reference, and the only code besides the trace-window kernel in
+  `spectral` (which the `sum` command runs on) that turns a `SumSpec`
+  into summands;
+* `complete_grid` transforms the kernel's pointwise data at m = 1
+  (`trace_function_grid`) with a length-p DFT per axis (naive O(p^2)
+  transform, vectorized).
 
 Purely additive sums are carried exactly as zeta_p-coefficient counts
 (`CycloValue`), so identity checks are bit-exact rather than tolerance-based.
@@ -133,19 +137,6 @@ def variety_mask(V: AffineVariety | None, p: int, nvars: int) -> np.ndarray:
         for g in V.generators:
             mask &= poly_values_grid(g, p) == 0
     return mask
-
-
-def root_count_grid(F: IntPolynomial, p: int) -> np.ndarray:
-    """r_F(x) = #{y in F_p : F(y, x) = 0} over the grid F_p^n; F has
-    variables (y, x1..xn)."""
-    if F.nvars < 2:
-        raise ValueError("root-count polynomial needs (y, x1..xn)")
-    n = F.nvars - 1
-    counts = np.zeros((p,) * n, dtype=np.int64)
-    for y in range(p):
-        fy = F.specialize({0: y})
-        counts += (poly_values_grid(fy, p) == 0)
-    return counts
 
 
 def r_F(F: IntPolynomial, x, ctx: FieldCtx) -> int:
@@ -294,20 +285,18 @@ def dft_grid(values: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
 def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
     """Exact transform of a zeta-coefficient field: counts has shape
     (p,)*n + (p,), the trailing axis indexing zeta powers.  Multiplying by
-    zeta^s is a roll of that axis."""
+    zeta^s is a roll of that axis.  Each axis's output is one contiguous
+    array, filled row by row."""
     n = counts.ndim - 1
     out = counts
     for axis in range(n):
         moved = np.moveaxis(out, axis, 0)
-
-        def row(h):
-            acc = np.zeros_like(moved[0])
+        res = np.empty(moved.shape, moved.dtype)
+        for h, row in enumerate(res):
+            row[...] = 0
             for x in range(p):
-                acc += np.roll(moved[x], (sign * h * x) % p, axis=-1)
-            return acc
-
-        rows = [row(h) for h in range(p)]
-        out = np.moveaxis(np.stack(rows), 0, axis)
+                row += np.roll(moved[x], (sign * h * x) % p, axis=-1)
+        out = np.moveaxis(res, 0, axis)
     return out
 
 
@@ -324,6 +313,7 @@ def exact_grid(weight: np.ndarray, idx: np.ndarray, p: int,
     np.add.at(counts.reshape(-1, p), (np.arange(flat_w.size), idx.reshape(-1)),
               flat_w)
     out = cyclo_dft(counts, p, sign)
+    del counts  # free the input field before the canonical form and rendering
     out -= out.min(axis=-1, keepdims=True)
     values = np.tensordot(out, zeta_table(p), axes=([-1], [0]))
     return SumGrid(p=p, n=n, values=values, counts=out)
@@ -404,46 +394,29 @@ class SumGrid:
 
 
 def trace_function_grid(spec: SumSpec, p: int):
-    """Pointwise summand data over F_p^nvars for a base-field spec.
+    """Pointwise summand data over F_p^nvars for a base-field spec, from the
+    trace-window kernel at m = 1: each block is scattered to the points
+    x_i = g^(k_i), or 0 where k_i is None.
 
     Returns ("exact", weight, idx) with integer weights and additive phase
     indices, or ("complex", values)."""
-    n = spec.nvars
-    mask = variety_mask(spec.variety, p, n)
-    if spec.torus:
-        mesh = np.indices((p,) * n)
-        for i in range(n):
-            mask &= mesh[i] != 0
-    kind = spec.trace_weight[0] if spec.trace_weight else None
+    from .spectral import summand_blocks  # spectral imports this module
 
-    idx = np.zeros((p,) * n, dtype=np.int64)
-    if spec.additive_phase is not None:
-        idx = poly_values_grid(spec.additive_phase, p)
-    if kind == "kloosterman_phase":
-        a = spec.trace_weight[1] % p
-        x = np.arange(p, dtype=np.int64)
-        inv = np.array([0] + [pow(int(v), p - 2, p) for v in range(1, p)],
-                       dtype=np.int64)
-        idx = (x + a * inv) % p
-
-    weight = mask.astype(np.int64)
-    if kind == "root_count":
-        weight = weight * root_count_grid(spec.trace_weight[1], p)
-
-    if spec.is_exact():
+    ctx = FieldCtx(p)
+    shape = (p,) * spec.nvars
+    exact = spec.is_exact()
+    weight = np.zeros(shape, dtype=np.int64 if exact else np.complex128)
+    idx = np.zeros(shape, dtype=np.int64)
+    for ks, phase, amp, _, _ in summand_blocks(spec, ctx):
+        at = tuple(np.zeros(len(phase), dtype=np.int64) if k is None
+                   else ctx.exp_ranks[k] for k in ks)
+        weight[at] = amp
+        idx[at] = phase
+    if exact:
         return "exact", weight, idx
-
     values = weight * zeta_table(p)[idx]
-    if kind == "kloosterman_value":
-        ctx = FieldCtx(p)
-        values = values * (-_kloosterman_raw_table(ctx) / np.sqrt(p))
-    if spec.mult_twist is not None:
-        g, order, index = spec.mult_twist
-        ctx = FieldCtx(p)
-        chi = ctx.mult_char_table(order, index)
-        values = values * chi[poly_values_grid(g, p)]
     if spec.half_twist:
-        values = values / p ** (spec.half_twist / 2)
+        values /= p ** (spec.half_twist / 2)
     return "complex", values
 
 

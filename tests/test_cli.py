@@ -6,9 +6,10 @@ import math
 import numpy as np
 
 from stratsums.cli import main
+from stratsums.ffield import FieldCtx
 from stratsums.polyring import AffineVariety, parse_poly
 from stratsums.strat import VarietyChain
-from stratsums.sumengine import SumGrid
+from stratsums.sumengine import SumGrid, SumSpec, eval_sum
 
 
 def run(capsys, *argv):
@@ -60,6 +61,35 @@ def test_sum_json_payload(capsys, tmp_path):
     data = json.loads(path.read_text())
     assert data["schema"] == 1
     assert abs(data["abs"] - math.sqrt(3)) < 1e-9
+
+
+def test_sum_json_matches_eval_sum(capsys, tmp_path):
+    # `sum` runs on the kernel; enumeration is the reference
+    cases = [
+        (["--p", "7", "--m", "2", "--f", "x1^3 + x2", "--g", "x1 + x2",
+          "--chi-order", "4", "--chi-index", "3", "--h", "1,0"],
+         SumSpec(nvars=2, additive_phase=parse_poly("x1^3 + x2"),
+                 mult_twist=(parse_poly("x1 + x2"), 4, 3)), 7, 2, (1, 0)),
+        (["--p", "5", "--m", "2", "--variety", "x1^2 - x2", "--f", "x1*x2",
+          "--h", "3,1"],
+         SumSpec(nvars=2, variety=AffineVariety(2, [parse_poly("x1^2 - x2")]),
+                 additive_phase=parse_poly("x1*x2")), 5, 2, (3, 1)),
+        (["--p", "3", "--m", "2", "--f", "x1*x2 + x1^2", "--torus"],
+         SumSpec(nvars=2, additive_phase=parse_poly("x1*x2 + x1^2"),
+                 torus=True), 3, 2, None),
+    ]
+    for argv, spec, p, m, h in cases:
+        path = tmp_path / "out.json"
+        code, _, _ = run(capsys, "sum", *argv, "--json", str(path))
+        assert code == 0
+        got = json.loads(path.read_text())
+        want = eval_sum(spec, FieldCtx(p, m), h=h)
+        assert got["points"] == want.n_points, argv
+        assert got["twist_zeros"] == want.twist_zeros, argv
+        assert got["cyclo_counts"] == (list(want.cyclo.counts)
+                                       if want.cyclo else None), argv
+        assert abs(complex(got["value"]["re"], got["value"]["im"])
+                   - want.value) <= 1e-9 * max(1.0, abs(want.value)), argv
 
 
 def test_grid_spot_check_and_exports(capsys, tmp_path):

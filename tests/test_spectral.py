@@ -1,6 +1,7 @@
 """Power-sum recovery: recurrence fitting, weights, mean-square trends."""
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -20,7 +21,7 @@ from stratsums.spectral import (
     snap_weight,
     weight_check,
 )
-from stratsums.sumengine import SumSpec, eval_sum
+from stratsums.sumengine import SumSpec, complete_grid, eval_sum
 
 KLOOSTERMAN = SumSpec(nvars=1, trace_weight=("kloosterman_phase", 1), torus=True)
 
@@ -120,6 +121,38 @@ def test_extension_sum_kernel_matches_eval_sum():
             p, m = rng.choice(DIFF_FIELDS)
             cases.append((_random_spec(rng, kind, p, m), p, m))
     _assert_kernel_matches_eval_sum(cases)
+
+
+def test_complete_grid_matches_eval_sum_every_kind():
+    # the base-field grid, built from the kernel's pointwise data, against
+    # FieldElem enumeration at every h; grids of at most 125 cells keep the
+    # p^(2n) enumeration work to about a second
+    rng = random.Random(20261018)
+    cases = []
+    for kind in DIFF_KINDS:
+        for _ in range(6):
+            spec = None
+            while spec is None or p ** spec.nvars > 125:
+                p = rng.choice((2, 3, 5, 7))
+                spec = dataclasses.replace(_random_spec(rng, kind, p, 1),
+                                           linear_form=None)
+            cases.append((spec, p))
+    # characters of order 4 and 3 take non-real values
+    cases += [
+        (SumSpec(nvars=2, additive_phase=parse_poly("x1^2 + x2"),
+                 mult_twist=(parse_poly("x1 + x2^2 + 1"), 4, 1)), 5),
+        (SumSpec(nvars=1, trace_weight=("kloosterman_value",),
+                 mult_twist=(parse_poly("x1^2 + 2"), 3, 1)), 7),
+    ]
+    for spec, p in cases:
+        grid, ctx = complete_grid(spec, p), FieldCtx(p)
+        for h in np.ndindex(*(p,) * spec.nvars):
+            want = eval_sum(spec, ctx, h=h)
+            if spec.is_exact():
+                assert grid.cyclo_at(h) == want.cyclo, (spec, p, h)
+            else:
+                assert abs(grid.value_at(h) - want.value) <= \
+                    1e-9 * max(1.0, abs(want.value)), (spec, p, h)
 
 
 def test_kloosterman_s1_p5_golden():

@@ -26,7 +26,7 @@ from stratsums.sumengine import (
     poly_values_grid,
     power_sum_identity_check,
     r_F,
-    root_count_grid,
+    trace_function_grid,
 )
 
 
@@ -256,8 +256,10 @@ def test_r_F_parabola():
     counts = [r_F(F, [ctx.elem(x)], ctx) for x in range(5)]
     assert set(counts) <= {0, 1, 2}
     assert sum(counts) == 5  # each y hits exactly one x1
-    grid = root_count_grid(F, 5)
-    assert list(grid) == counts
+    kind, weight, _ = trace_function_grid(
+        SumSpec(nvars=1, trace_weight=("root_count", F)), 5)
+    assert kind == "exact"
+    assert list(weight) == counts
 
 
 def test_S_F_grid_linear_is_delta():
