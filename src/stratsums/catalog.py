@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclo import zeta_table
-from .errors import CapExceeded, DEFAULT_GRID_CAP
+from .errors import DEFAULT_GRID_CAP
 from .ffield import FieldCtx, gauss_sum
 from .polyring import AffineVariety, IntPolynomial
 from .strat import (
@@ -30,7 +30,7 @@ from .strat import (
     stratum_index_from_masks,
     verify_kl_masks,
 )
-from .sumengine import SumGrid, SumSpec, complete_grid, exact_grid, poly_values_grid
+from .sumengine import SumGrid, SumSpec, complete_grid, poly_values_grid
 from .sumengine import cyclo_dft  # noqa: F401  (bench/tests wrap catalog.cyclo_dft)
 
 
@@ -414,20 +414,14 @@ def quadric_blocks(n_blocks: int) -> CatalogEntry:
 def _family_delta_ft_grid(n: int, p: int, cap: int = DEFAULT_GRID_CAP) -> SumGrid:
     """Exact Fourier grid of phi(a, b, x) = [sum_i a_i x_i^2 = 0] psi(-a.b)
     on A^{3n}, with dual coordinates (c, d, v)."""
-    if p ** (3 * n + 1) > cap:
-        raise CapExceeded(f"family grid needs {p}^{3 * n + 1} zeta counts, "
-                          f"over cap {cap}")
-    shape = (p,) * (3 * n)
-    mesh = np.indices(shape, dtype=np.int64)
-    a = mesh[:n]
-    b = mesh[n:2 * n]
-    x = mesh[2 * n:]
-    fval = np.zeros(shape, dtype=np.int64)
-    ab = np.zeros(shape, dtype=np.int64)
-    for i in range(n):
-        fval = (fval + a[i] * x[i] ** 2) % p
-        ab = (ab + a[i] * b[i]) % p
-    return exact_grid((fval == 0).astype(np.int64), (-ab) % p, p)
+    a = [IntPolynomial.variable(i, 3 * n) for i in range(n)]
+    b = [IntPolynomial.variable(n + i, 3 * n) for i in range(n)]
+    x = [IntPolynomial.variable(2 * n + i, 3 * n) for i in range(n)]
+    quadric = sum((a[i] * x[i] ** 2 for i in range(n)), IntPolynomial.zero(3 * n))
+    pairing = sum((a[i] * b[i] for i in range(n)), IntPolynomial.zero(3 * n))
+    spec = SumSpec(nvars=3 * n, variety=AffineVariety(3 * n, [quadric]),
+                   additive_phase=-pairing)
+    return complete_grid(spec, p, cap=cap)
 
 
 def _fiber_quadric_grid(dvec, p: int) -> SumGrid:

@@ -9,8 +9,10 @@ serve as the other's oracle:
   `spectral` (which the `sum` command runs on) that turns a `SumSpec`
   into summands;
 * `complete_grid` transforms the kernel's pointwise data at m = 1
-  (`trace_function_grid`) with a length-p DFT per axis (naive O(p^2)
-  transform, vectorized).
+  (`trace_function_grid`) with numpy's FFT over the n point axes: complex
+  grids directly (`dft_grid`), exact grids as zeta-count fields whose
+  values at the p-th roots of unity are FFT'd and rounded back to integers
+  (`cyclo_dft`).
 
 Purely additive sums are carried exactly as zeta_p-coefficient counts
 (`CycloValue`), so identity checks are bit-exact rather than tolerance-based.
@@ -112,20 +114,19 @@ class SumValue:
 
 def poly_values_grid(f: IntPolynomial, p: int, side: int | None = None) -> np.ndarray:
     """f mod p over the box [0, side)^n of F_p^n (side defaults to p, the
-    full grid), shape (side,)*n, int64."""
+    full grid), shape (side,)*n, int64.  Each term is a broadcast product of
+    per-axis power tables of shape (1,..,side,..,1)."""
     n = f.nvars
     side = p if side is None else side
-    mesh = np.indices((side,) * n, dtype=np.int64)
     out = np.zeros((side,) * n, dtype=np.int64)
-    pow_cache: dict[int, np.ndarray] = {}
     for exps, coeff in f.terms.items():
-        term = np.full((side,) * n, coeff % p, dtype=np.int64)
+        term = np.int64(coeff % p)
         for i, e in enumerate(exps):
             if e:
-                if e not in pow_cache:
-                    pow_cache[e] = np.array([pow(x, e, p) for x in range(side)],
-                                            dtype=np.int64)
-                term = (term * pow_cache[e][mesh[i]]) % p
+                axis = [1] * n
+                axis[i] = side
+                powers = np.array([pow(x, e, p) for x in range(side)], dtype=np.int64)
+                term = term * powers.reshape(axis) % p
         out = (out + term) % p
     return out
 
@@ -269,54 +270,47 @@ def eval_sum(spec: SumSpec, ctx: FieldCtx, h=None,
 
 
 def dft_grid(values: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
-    """out[h] = sum_x values[x] e(sign * h.x / p): naive length-p transform
-    per axis (matrix product; adequate well past p = 101)."""
-    n = values.ndim
-    hs = np.arange(p)
-    W = np.exp(sign * 2j * np.pi * np.outer(hs, hs) / p)
-    out = values.astype(np.complex128)
-    for axis in range(n):
-        moved = np.moveaxis(out, axis, 0)
-        rows = [np.tensordot(W[h], moved, axes=(0, 0)) for h in range(p)]
-        out = np.moveaxis(np.stack(rows), 0, axis)
-    return out
+    """out[h] = sum_x values[x] e(sign * h.x / p) over the (p,)*n grid, by
+    numpy's FFT."""
+    if sign == 1:
+        return np.fft.ifftn(values, norm="forward")
+    return np.fft.fftn(values)
 
 
 def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
     """Exact transform of a zeta-coefficient field: counts has shape
-    (p,)*n + (p,), the trailing axis indexing zeta powers.  Multiplying by
-    zeta^s is a roll of that axis.  Each axis's output is one contiguous
-    array, filled row by row."""
+    (p,)*n + (p,), the trailing axis indexing zeta powers, and
+    out[h, j] = sum_x counts[x, (j - sign h.x) mod p], int64.
+
+    Each row is an element of Z[X]/(X^p - 1), so its values at all p-th
+    roots of unity fix it.  At X = zeta^s the transform is an ordinary DFT
+    over the point axes (an unnormalised inverse FFT), read at
+    (s sign h) mod p; integer rows need only s <= p//2 (rfft/irfft).
+    Rounding is exact: every output coefficient is a sum of input counts,
+    and the float error of the FFTs is of order eps log(p^(n+1)) times the
+    count mass sum|counts|.  In `complete_grid` that mass is at most the
+    number of cells times p (one weight per point, a root count of at most
+    p), so at most p^(n+1) <= cap, and the error stays far below 1/2:
+    np.rint recovers the integers.  A rounding residual above 1e-3 raises
+    AssertionError rather than returning wrong counts."""
     n = counts.ndim - 1
-    out = counts
-    for axis in range(n):
-        moved = np.moveaxis(out, axis, 0)
-        res = np.empty(moved.shape, moved.dtype)
-        for h, row in enumerate(res):
-            row[...] = 0
-            for x in range(p):
-                row += np.roll(moved[x], (sign * h * x) % p, axis=-1)
-        out = np.moveaxis(res, 0, axis)
-    return out
-
-
-def exact_grid(weight: np.ndarray, idx: np.ndarray, p: int,
-               sign: int = 1) -> SumGrid:
-    """Exact grid of S(h) = sum_x weight[x] zeta^(idx[x] + sign h.x): scatter
-    the pointwise data into a zeta-count field of p^(n+1) cells, transform it
-    with `cyclo_dft`, put each cell in canonical form (min coefficient 0, so
-    exact zeros render as 0) and render it.  Callers hold the count field to
-    their cap before building the pointwise data."""
-    n = weight.ndim
-    counts = np.zeros((p,) * n + (p,), dtype=np.int64)
-    flat_w = weight.reshape(-1)
-    np.add.at(counts.reshape(-1, p), (np.arange(flat_w.size), idx.reshape(-1)),
-              flat_w)
-    out = cyclo_dft(counts, p, sign)
-    del counts  # free the input field before the canonical form and rendering
-    out -= out.min(axis=-1, keepdims=True)
-    values = np.tensordot(out, zeta_table(p), axes=([-1], [0]))
-    return SumGrid(p=p, n=n, values=values, counts=out)
+    spec = np.fft.rfft(counts, axis=-1)
+    np.conjugate(spec, out=spec)                 # row values at zeta^s
+    for axis in range(n):  # not ifftn, which keeps its input alive to the end
+        spec = np.fft.ifft(spec, axis=axis, norm="forward")
+    hs = np.arange(p)
+    for s in range(p // 2 + 1):
+        spec[..., s] = spec[..., s][np.ix_(*[(s * sign * hs) % p] * n)]
+    np.conjugate(spec, out=spec)
+    out = np.fft.irfft(spec, n=p, axis=-1)
+    del spec
+    exact = np.rint(out)
+    out -= exact
+    residual = float(np.abs(out).max())
+    if residual > 1e-3:
+        raise AssertionError(f"cyclo_dft rounding residual {residual:.3g} "
+                             "exceeds 1e-3")
+    return exact.astype(np.int64)
 
 
 @dataclass
@@ -425,7 +419,11 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     """All sums S(h) = sum_x t(x) psi(h.x) at once, as an n-dimensional
     transform of the pointwise trace values.  Base field only.  The cap
     bounds the largest array: the p^(n+1) zeta counts of an exact grid, the
-    p^n values otherwise."""
+    p^n values otherwise.
+
+    An exact grid scatters weight[x] to zeta power idx[x] of a count field,
+    transforms it with `cyclo_dft` and puts each cell in canonical form (min
+    coefficient 0, so exact zeros render as 0) before rendering it."""
     n = spec.nvars
     if spec.linear_form is not None and any(spec.linear_form):
         raise ValueError("complete_grid sweeps all h; fix the spec's linear form to None")
@@ -434,11 +432,15 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     if p ** n > cap:
         raise CapExceeded(f"grid {p}^{n} exceeds cap {cap}")
     data = trace_function_grid(spec, p)
-    if data[0] == "exact":
-        _, weight, idx = data
-        return exact_grid(weight, idx, p, sign)
-    _, values = data
-    return SumGrid(p=p, n=n, values=dft_grid(values, p, sign))
+    if data[0] == "complex":
+        return SumGrid(p=p, n=n, values=dft_grid(data[1], p, sign))
+    _, weight, idx = data
+    counts = np.zeros((p,) * n + (p,), dtype=np.int64)
+    np.put_along_axis(counts, idx[..., None], weight[..., None], axis=-1)
+    counts = cyclo_dft(counts, p, sign)
+    counts -= counts.min(axis=-1, keepdims=True)
+    values = np.tensordot(counts, zeta_table(p), axes=([-1], [0]))
+    return SumGrid(p=p, n=n, values=values, counts=counts)
 
 
 def S_F_grid(F: IntPolynomial, p: int, cap: int = DEFAULT_GRID_CAP) -> SumGrid:

@@ -8,6 +8,7 @@ import pytest
 
 from stratsums.catalog import (
     CATALOG,
+    _family_delta_ft_grid,
     build_entry,
     burgess_check,
     burgess_sums,
@@ -21,6 +22,7 @@ from stratsums.catalog import (
     smooth_form,
 )
 from stratsums.cyclo import CycloValue
+from stratsums.errors import CapExceeded
 from stratsums.polyring import parse_poly
 from stratsums.strat import empirical_exponent_map
 
@@ -250,6 +252,14 @@ def test_family_identity_n1_exact():
     for p in (3, 5):
         ok, mismatches = family_identity_check(1, p)
         assert ok, (p, mismatches[:5])
+
+
+def test_family_grid_cap_goes_through_complete_grid():
+    # the family grid is an exact complete_grid over A^3: p^4 zeta counts
+    p = 5
+    with pytest.raises(CapExceeded, match="exact grid needs 5\\^4"):
+        _family_delta_ft_grid(1, p, cap=p ** 4 - 1)
+    assert _family_delta_ft_grid(1, p, cap=p ** 4).counts.shape == (p,) * 4
 
 
 def test_family_specialization_n1_and_n2():

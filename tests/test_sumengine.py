@@ -66,15 +66,15 @@ def test_enumerate_cap():
 
 def test_poly_values_grid_matches_pointwise():
     rng = random.Random(20)
-    p = 7
-    for _ in range(10):
-        terms = {tuple(rng.randrange(4) for _ in range(2)): rng.randrange(-9, 10)
+    for p, n, side in [(7, 2, 7)] * 10 + [(2, 3, 2), (5, 1, 3), (11, 3, 6),
+                                          (13, 2, 13), (13, 2, 1)]:
+        terms = {tuple(rng.randrange(6) for _ in range(n)): rng.randrange(-30, 31)
                  for _ in range(4)}
-        f = IntPolynomial(2, terms)
-        grid = poly_values_grid(f, p)
-        for a in range(p):
-            for b in range(p):
-                assert grid[a, b] == f.eval_mod_p_int((a, b), p)
+        f = IntPolynomial(n, terms)
+        grid = poly_values_grid(f, p, side)
+        assert grid.shape == (side,) * n and grid.dtype == np.int64
+        for x in np.ndindex(*grid.shape):
+            assert grid[x] == f.eval_mod_p_int(x, p)
 
 
 # -- single sums -------------------------------------------------------------------
@@ -158,6 +158,43 @@ def test_cyclo_dft_matches_complex_dft():
     rendered = np.tensordot(exact, zeta_table(p), axes=([-1], [0]))
     vals = weight * zeta_table(p)[idx]
     assert np.max(np.abs(rendered - dft_grid(vals, p))) < 1e-8
+
+
+def integer_cyclo_dft(counts, p, sign):
+    """out[h, j] = sum_x counts[x, (j - sign h.x) mod p], by direct indexing."""
+    n = counts.ndim - 1
+    xs = np.indices((p,) * n).reshape(n, -1).T
+    rows = counts.reshape(-1, p)
+    out = np.zeros_like(counts)
+    for h in np.ndindex(*(p,) * n):
+        shift = sign * (xs @ np.array(h)) % p
+        cols = (np.arange(p)[None, :] - shift[:, None]) % p
+        out[h] = np.take_along_axis(rows, cols, axis=1).sum(axis=0)
+    return out
+
+
+def test_cyclo_dft_matches_integer_reference():
+    rng = np.random.default_rng(24)
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3):
+            for hot in (1, p):  # one-hot rows like a grid's, then full rows
+                counts = np.zeros((p,) * n + (p,), dtype=np.int64)
+                for x in np.ndindex(*(p,) * n):
+                    cols = rng.choice(p, size=hot, replace=False)
+                    counts[x + (cols,)] = rng.integers(-5, 6, size=hot)
+                for sign in (1, -1):
+                    got = cyclo_dft(counts.copy(), p, sign)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, integer_cyclo_dft(counts, p, sign))
+
+
+def test_cyclo_dft_refuses_rounding_residual(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
+    counts = np.zeros((5, 5, 5), dtype=np.int64)
+    counts[..., 0] = 1
+    with pytest.raises(AssertionError, match="residual"):
+        cyclo_dft(counts, 5)
 
 
 def test_complete_grid_constant_function():
