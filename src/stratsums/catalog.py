@@ -30,7 +30,13 @@ from .strat import (
     stratum_index_from_masks,
     verify_kl_masks,
 )
-from .sumengine import SumGrid, SumSpec, complete_grid, poly_values_grid
+from .sumengine import (
+    SumGrid,
+    SumSpec,
+    complete_grid,
+    poly_values_grid,
+    variety_mask,
+)
 from .sumengine import cyclo_dft  # noqa: F401  (bench/tests wrap catalog.cyclo_dft)
 
 
@@ -66,18 +72,15 @@ class CatalogEntry:
         return verify_kl_masks(grid.values, self.masks(p), p, self.C, self.d,
                                excluded=excluded)
 
-    def check_expected(self, p: int, grid: SumGrid | None = None):
-        """Per-stratum max |S| against C * p^{e/2} from the expected table.
-        Exact-zero strata carry e = -inf.  Returns (ok, rows)."""
-        if grid is None:
-            grid = self.grid(p)
-        idx = stratum_index_from_masks(self.masks(p), grid.values.shape)
-        absv = grid.abs_values()
+    def check_expected(self, report: StratReport):
+        """Per-stratum max |S| of a `verify` report against C * p^{e/2} from
+        the expected table.  Exact-zero strata carry e = -inf.  Returns
+        (ok, rows)."""
+        p = report.p
         rows = []
         ok = True
-        for i in sorted(set(int(v) for v in np.unique(idx))):
-            sel = idx == i
-            max_abs = float(absv[sel].max())
+        for r in report.records:
+            i, max_abs = r.index, r.max_abs
             e = self.expected_two_exp.get(i)
             if e is None:
                 ok = False
@@ -235,6 +238,17 @@ def _origin_variety(n: int) -> AffineVariety:
                          claimed_dim=0)
 
 
+def _diagonal_strata(coeffs) -> list:
+    """The parity-dependent chain of the quadric sum a_i x_i^2 = 0: the
+    origin alone for odd n; the dual quadric, then the origin, for even n."""
+    n = len(coeffs)
+    origin = _origin_variety(n)
+    if n % 2 == 1:
+        return [origin] * (n - 1)
+    dual = AffineVariety(n, [_dual_diagonal_form(coeffs)], claimed_dim=n - 1)
+    return [dual] + [origin] * (n - 2)
+
+
 def diagonal_quadratic(n: int, coeffs=None) -> CatalogEntry:
     """T(F, v; p) = sum over the quadric {sum a_i x_i^2 = 0} of psi(v.x).
 
@@ -249,15 +263,11 @@ def diagonal_quadratic(n: int, coeffs=None) -> CatalogEntry:
     if len(coeffs) != n or any(a == 0 for a in coeffs):
         raise ValueError("need n nonzero diagonal coefficients")
     F = _diagonal_form(coeffs)
-    origin = _origin_variety(n)
     if n % 2 == 1:
-        strata = [origin] * (n - 1)
         expected = {0: n - 1, n - 1: 2 * (n - 1)}
     else:
-        dual = AffineVariety(n, [_dual_diagonal_form(coeffs)], claimed_dim=n - 1)
-        strata = [dual] + [origin] * (n - 2)
         expected = {0: n - 2, 1: n, n - 1: 2 * (n - 1)}
-    chain = VarietyChain(n, strata, check_primes=(3,))
+    chain = VarietyChain(n, _diagonal_strata(coeffs), check_primes=(3,))
     spec = SumSpec(nvars=n, variety=AffineVariety(n, [F], claimed_dim=n - 1))
     Nex = 2
     for a in coeffs:
@@ -281,11 +291,8 @@ def diagonal_quadratic(n: int, coeffs=None) -> CatalogEntry:
             inv4a = pow(4 * a, p - 2, p)
             signs = chi[a] ** (n % 2) if n % 2 else 1.0
             M += signs * zt[(-inv4a * np.arange(p)) % p]
-        Q = np.zeros((p,) * n, dtype=np.int64)
-        mesh = np.indices((p,) * n, dtype=np.int64)
-        for i, a in enumerate(coeffs):
-            inva = pow(a % p, p - 2, p)
-            Q = (Q + inva * mesh[i] ** 2) % p
+        Q = poly_values_grid(
+            _diagonal_form([pow(a % p, p - 2, p) for a in coeffs]), p)
         out = (tau ** n * chi[prod_a % p] / p) * M[Q]
         out[(0,) * n] += p ** (n - 1)
         return out
@@ -443,28 +450,28 @@ def _fiber_quadric_grid(dvec, p: int) -> SumGrid:
 def family_identity_check(n: int, p: int):
     """Bit-exact check of FT(phi)(c, d, v) = p^n psi(d.c) T(F_d, v; p) over
     the full (c, d, v) grid, in cyclotomic counts.  Also verifies
-    |FT(c, d, v)| = |FT(0, d, v)| for every c."""
+    |FT(c, d, v)| = |FT(0, d, v)| for every c.  Returns (ok, mismatches),
+    the mismatching (c, d, v) in lexicographic (d, v, c) order.
+
+    Both sides are canonical (min count 0), and multiplying by psi(d.c)
+    rotates the counts by d.c, so the check compares count arrays:
+    counts[c, d, v, k] against p^n fiber_d.counts[v, (k - d.c) mod p]."""
     grid = _family_delta_ft_grid(n, p)
-    pn = p ** n
-    ok = True
-    mismatches = []
-    for dvec in itertools.product(range(p), repeat=n):
-        fiber = _fiber_quadric_grid(dvec, p)
-        for v in itertools.product(range(p), repeat=n):
-            rhs_base = fiber.cyclo_at(v) * pn
-            for cvec in itertools.product(range(p), repeat=n):
-                dc = sum(di * ci for di, ci in zip(dvec, cvec)) % p
-                lhs = grid.cyclo_at(cvec + dvec + v)
-                rhs = rhs_base.rotate(dc)
-                if lhs != rhs:
-                    ok = False
-                    mismatches.append((cvec, dvec, v))
+    fibers = np.stack([_fiber_quadric_grid(dvec, p).counts for dvec in
+                       itertools.product(range(p), repeat=n)])
+    fibers = fibers.reshape((1,) * n + (p,) * (2 * n) + (p,))
+    cd = np.indices((p,) * (2 * n), dtype=np.int64)
+    dc = sum(cd[i] * cd[n + i] for i in range(n)) % p
+    shift = (np.arange(p) - dc[..., None]) % p
+    shift = shift.reshape((p,) * (2 * n) + (1,) * n + (p,))
+    rhs = p ** n * np.take_along_axis(fibers, shift, axis=-1)
+    bad = (grid.counts != rhs).any(axis=-1)
+    order = list(range(n, 3 * n)) + list(range(n))
+    mismatches = [(tuple(dvc[2 * n:]), tuple(dvc[:n]), tuple(dvc[n:2 * n]))
+                  for dvc in np.argwhere(bad.transpose(order)).tolist()]
     absvals = np.abs(grid.values)
-    zero_c = absvals[(0,) * n]
-    mod_ok = bool(np.max(np.abs(absvals - zero_c[None])) < 1e-9) \
-        if n == 1 else bool(np.allclose(
-            absvals, np.broadcast_to(zero_c, absvals.shape), atol=1e-9))
-    return ok and mod_ok, mismatches
+    mod_ok = bool(np.max(np.abs(absvals - absvals[(0,) * n])) < 1e-9)
+    return not mismatches and mod_ok, mismatches
 
 
 def _family_masks(n: int, p: int):
@@ -528,29 +535,9 @@ def _subsets(n: int):
         yield from itertools.combinations(items, r)
 
 
-def _per_fiber_chain_masks(dvec, p: int):
-    """The parity-dependent quadric chain for one fiber F_d, built directly
-    (nonzero d with no vanishing coefficient assumed)."""
-    n = len(dvec)
-    mesh = np.indices((p,) * n, dtype=np.int64)
-    origin = np.ones((p,) * n, dtype=bool)
-    for i in range(n):
-        origin &= mesh[i] == 0
-    if n % 2 == 1:
-        return [origin] * (n - 1)
-    dual = np.zeros((p,) * n, dtype=np.int64)
-    for i in range(n):
-        prod = 1
-        for j in range(n):
-            if j != i:
-                prod = (prod * dvec[j]) % p
-        dual = (dual + mesh[i] ** 2 * prod) % p
-    return [dual == 0] + [origin] * (n - 2)
-
-
 def family_specialization_check(n: int, p: int):
     """stratum_index under the family chain sliced at d must equal the
-    index under the directly-built fiber chain, for every d with all
+    index under the fiber's diagonal-quadric chain, for every d with all
     coordinates nonzero; degenerate d are flagged, not asserted."""
     masks = _family_masks(n, p)
     dense_ok = True
@@ -561,8 +548,8 @@ def family_specialization_check(n: int, p: int):
             sl = m[(0,) * n]  # c = 0 slice; strata do not involve c
             sliced.append(sl[dvec])
         got = stratum_index_from_masks(sliced, (p,) * n)
-        want = stratum_index_from_masks(_per_fiber_chain_masks(dvec, p),
-                                        (p,) * n)
+        want = stratum_index_from_masks(
+            [variety_mask(V, p, n) for V in _diagonal_strata(dvec)], (p,) * n)
         match = np.array_equal(got, want)
         if all(x % p for x in dvec):
             dense_ok &= match

@@ -187,10 +187,7 @@ def cmd_weights(args) -> int:
     else:
         spec = _build_spec(args)
         if args.half_twist:
-            spec = SumSpec(nvars=spec.nvars, variety=spec.variety,
-                           additive_phase=spec.additive_phase,
-                           mult_twist=spec.mult_twist, torus=spec.torus,
-                           half_twist=args.half_twist)
+            spec = dataclasses.replace(spec, half_twist=args.half_twist)
     _check_config(args, tol=args.tol)
     seq = extension_sums(spec, args.p, args.N, cap=args.cap)
     profile = fit_recurrence(seq, tol=args.tol)
@@ -238,9 +235,8 @@ def cmd_catalog(args) -> int:
     all_pass = True
     if args.p:
         for p in _parse_primes(args.p):
-            grid = entry.grid(p)
-            report = entry.verify(p, grid=grid)
-            ok, rows = entry.check_expected(p, grid=grid)
+            report = entry.verify(p)
+            ok, rows = entry.check_expected(report)
             print(report.table())
             print(f"expected-exponent table at p={p}: "
                   + ("OK" if ok else f"MISMATCH {rows}"))

@@ -502,17 +502,23 @@ def cone_sum_identity(F: IntPolynomial, p: int, cap: int = 1 << 14):
                           "(quadratic work)")
     spec = SumSpec(nvars=n, variety=AffineVariety(n, [F]))
     grid = complete_grid(spec, p)
-    fmask = (poly_values_grid(F, p) == 0).reshape(-1)
     coords = np.indices((p,) * n).reshape(n, -1).T
-    n0 = int(fmask.sum())
-    violations = []
-    for h in np.ndindex(*(p,) * n):
-        if not any(h):
-            continue
-        dots = coords @ np.array(h, dtype=np.int64) % p
-        n1 = int((fmask & (dots == 0)).sum())
-        lhs = grid.cyclo_at(h) * (p - 1)
-        rhs = CycloValue.integer(p * n1 - n0, p)
-        if lhs != rhs:
-            violations.append((tuple(h), lhs, rhs))
+    zeros = coords[(poly_values_grid(F, p) == 0).reshape(-1)]
+    n0 = len(zeros)
+    n1 = np.empty(len(coords), dtype=np.int64)
+    rows = max(1, (1 << 20) // max(n0, 1))  # dot-table entries per block
+    for lo in range(0, len(coords), rows):
+        dots = coords[lo:lo + rows] @ zeros.T % p
+        n1[lo:lo + rows] = (dots == 0).sum(axis=1)
+    # both sides in canonical form: (p-1) counts keeps min 0, and the
+    # integer z is z at zeta^0, or -z at every other power when z < 0
+    lhs = grid.counts.reshape(-1, p) * (p - 1)
+    z = p * n1 - n0
+    rhs = np.zeros_like(lhs)
+    rhs[:, 0] = z
+    rhs -= np.minimum(z, 0)[:, None]
+    bad = (lhs != rhs).any(axis=1)
+    bad[0] = False  # h = 0 is not part of the identity
+    violations = [(tuple(int(t) for t in coords[i]), CycloValue(p, lhs[i]),
+                   CycloValue(p, rhs[i])) for i in np.flatnonzero(bad)]
     return not violations, violations

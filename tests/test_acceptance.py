@@ -115,7 +115,7 @@ def test_criterion_06_quadric_blocks_deep_chain():
         grid = entry.grid(3)
         report = entry.verify(3, grid=grid)
         assert report.passed, report.violations[:3]
-        ok, rows = entry.check_expected(3, grid=grid)
+        ok, rows = entry.check_expected(report)
         assert ok, rows
         assert sum(r.count for r in report.records) == 3 ** 8
 

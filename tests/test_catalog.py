@@ -1,11 +1,13 @@
 """Catalog entries: chains, closed forms, identities, bound verification."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from stratsums import catalog
 from stratsums.catalog import (
     CATALOG,
     _family_delta_ft_grid,
@@ -44,7 +46,7 @@ def test_linear_space_exact_values_and_verify():
                                CycloValue.integer(p ** (n - 2), p))
             closed = entry.closed_form(p)
             assert np.max(np.abs(grid.values - closed)) < 1e-9
-            ok, rows = entry.check_expected(p, grid=grid)
+            ok, rows = entry.check_expected(report)
             assert ok, rows
 
 
@@ -122,7 +124,7 @@ def test_diagonal_quadratic_verify_and_expected():
             grid = entry.grid(p)
             report = entry.verify(p, grid=grid)
             assert report.passed, report.table()
-            ok, rows = entry.check_expected(p, grid=grid)
+            ok, rows = entry.check_expected(report)
             assert ok, rows
 
 
@@ -186,7 +188,7 @@ def test_smooth_form_cubic_verify_p7():
     grid = entry.grid(7)
     report = entry.verify(7, grid=grid)
     assert report.passed, report.table()
-    ok, rows = entry.check_expected(7, grid=grid)
+    ok, rows = entry.check_expected(report)
     assert ok, rows
     # off the dual cone the doubled exponent sits at n - 1 up to the constant
     exps = empirical_exponent_map(grid)
@@ -215,7 +217,7 @@ def test_quadric_blocks_two_p3_verify():
     report = entry.verify(3, grid=grid)
     assert report.passed, report.table()
     assert sum(r.count for r in report.records) == 3 ** 8
-    ok, rows = entry.check_expected(3, grid=grid)
+    ok, rows = entry.check_expected(report)
     assert ok, rows
     # product structure oracle: T factors over blocks; spot-check values
     diag = diagonal_quadratic(4)
@@ -232,7 +234,7 @@ def test_quadric_blocks_two_p5_verify():
     grid = entry.grid(5)
     report = entry.verify(5, grid=grid)
     assert report.passed, report.table()
-    ok, rows = entry.check_expected(5, grid=grid)
+    ok, rows = entry.check_expected(report)
     assert ok, rows
 
 
@@ -262,13 +264,38 @@ def test_family_grid_cap_goes_through_complete_grid():
     assert _family_delta_ft_grid(1, p, cap=p ** 4).counts.shape == (p,) * 4
 
 
+def _corrupt_family_grid(monkeypatch, cells):
+    """Make the family check read a grid whose zeta^1 count is one higher
+    at each (c, d, v) cell, kept in canonical form."""
+    def corrupted(n, p, cap=None):
+        grid = _family_delta_ft_grid(n, p)
+        for cvec, dvec, v in cells:
+            row = grid.counts[cvec + dvec + v]
+            row[1] += 1
+            row -= row.min()
+        return grid
+
+    monkeypatch.setattr(catalog, "_family_delta_ft_grid", corrupted)
+
+
+def test_family_identity_returns_exactly_the_corrupted_cells(monkeypatch):
+    _corrupt_family_grid(monkeypatch, [((2,), (3,), (1,))])
+    assert family_identity_check(1, 5) == (False, [((2,), (3,), (1,))])
+    cells = [((1, 2), (0, 1), (2, 2)), ((0, 0), (0, 0), (0, 0)),
+             ((2, 1), (1, 0), (0, 2))]
+    _corrupt_family_grid(monkeypatch, cells)
+    # listed in the order of a loop over d, then v, then c
+    assert family_identity_check(2, 3) == (
+        False, [cells[1], cells[0], cells[2]])
+
+
 def test_family_specialization_n1_and_n2():
     for n in (1, 2):
-        for p in (3, 5):
+        for p in (3, 5, 7):
             dense_ok, flagged = family_specialization_check(n, p)
             assert dense_ok, (n, p)
-            # degenerate fibers differ from the naive parity chain: flagged
-            assert all(any(x % p == 0 for x in d) for d in flagged)
+            # of the degenerate d, only d = 0 leaves the fiber chain
+            assert flagged == [(0,) * n], (n, p)
 
 
 def test_family_entry_verify():
@@ -278,7 +305,7 @@ def test_family_entry_verify():
             grid = entry.grid(p)
             report = entry.verify(p, grid=grid)
             assert report.passed, report.table()
-            ok, rows = entry.check_expected(p, grid=grid)
+            ok, rows = entry.check_expected(report)
             assert ok, rows
 
 
@@ -342,6 +369,22 @@ def test_burgess_entry_verify():
 # -- registry ----------------------------------------------------------------------------
 
 
+def test_check_expected_flags_missing_and_low_exponents():
+    entry = diagonal_quadratic(4)  # expected {0: 2, 1: 4, 3: 6}
+    report = entry.verify(5)
+    assert entry.check_expected(report) == (
+        True, [(0, 5.0, 10.0, True), (1, 20.0, 50.0, True),
+               (3, 145.0, 250.0, True)])
+    low = dataclasses.replace(entry, expected_two_exp={0: 2, 1: 2, 3: 6})
+    assert low.check_expected(report) == (
+        False, [(0, 5.0, 10.0, True), (1, 20.0, 10.0, False),
+                (3, 145.0, 250.0, True)])
+    missing = dataclasses.replace(entry, expected_two_exp={0: 2, 3: 6})
+    assert missing.check_expected(report) == (
+        False, [(0, 5.0, 10.0, True), (1, 20.0, None, False),
+                (3, 145.0, 250.0, True)])
+
+
 def test_every_entry_passes_at_its_test_primes():
     # cascade bound and expected-exponent table at each entry's primes
     for name in CATALOG:
@@ -352,7 +395,7 @@ def test_every_entry_passes_at_its_test_primes():
             grid = entry.grid(p)
             report = entry.verify(p, grid=grid)
             assert report.passed, (name, p, report.violations[:3])
-            ok, rows = entry.check_expected(p, grid=grid)
+            ok, rows = entry.check_expected(report)
             assert ok, (name, p, rows)
 
 

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from stratsums import sumengine
 from stratsums.cyclo import CycloValue, zeta_table
 from stratsums.errors import CapExceeded
 from stratsums.ffield import FieldCtx
@@ -332,6 +333,23 @@ def test_cone_sum_identity_quadric_and_cubic():
     for text, p in [("x1^2 + x2^2 + x3^2", 7), ("x1^3 + x2^3 + x3^3", 7)]:
         ok, violations = cone_sum_identity(parse_poly(text), p)
         assert ok, violations
+
+
+def test_cone_sum_identity_returns_exactly_the_corrupted_cell(monkeypatch):
+    real = sumengine.complete_grid
+    for text, p, h, lhs, rhs in [
+            ("x1^3 + x2^3 + x3^3", 7, (0, 0, 5),
+             (78, 0, 18, 0, 0, 0, 0), (78, 0, 0, 0, 0, 0, 0)),
+            ("x1^2 + x2^2", 5, (4, 4), (0, 4, 16, 4, 4), (0, 4, 4, 4, 4))]:
+
+        def corrupted(spec, p, **kwargs):
+            grid = real(spec, p, **kwargs)
+            grid.counts[h][2] += 3  # keeps min 0, so still canonical
+            return grid
+
+        monkeypatch.setattr(sumengine, "complete_grid", corrupted)
+        assert cone_sum_identity(parse_poly(text), p) == (
+            False, [(h, CycloValue(p, lhs), CycloValue(p, rhs))])
 
 
 def test_cone_sum_identity_rejects_inhomogeneous():
