@@ -108,7 +108,12 @@ def poly_windows(f: IntPolynomial, ks, size: int, W, p: int) -> np.ndarray:
 
     ks[i] holds the exponents k of x_i = g^k, or None where x_i = 0.  A term
     c x^e is c W[sum_i e_i k_i], and windows add digit-wise (the window map
-    is F_p-linear); a term with a positive power of a zero coordinate drops."""
+    is F_p-linear); a term with a positive power of a zero coordinate drops.
+
+    Each term reduces its exponent sum mod q-1 once, and the windows are
+    reduced mod p once, at the end: an exponent sum is below n (q-1)^2 and
+    a digit below T p^2 for T terms, which int64 holds for n, T < 2^11
+    within the field cap (q <= 2^26)."""
     qm1 = len(W)
     out = np.zeros((size, W.shape[1]), dtype=np.int64)
     for exps, coeff in f.terms.items():
@@ -117,11 +122,12 @@ def poly_windows(f: IntPolynomial, ks, size: int, W, p: int) -> np.ndarray:
         dl = np.zeros(size, dtype=np.int64)
         for e, k in zip(exps, ks):
             if e:
-                dl = (dl + (e % qm1) * k) % qm1
+                dl += (e % qm1) * k
+        dl %= qm1
         term = W[dl]
         term *= coeff % p
         out += term
-        out %= p
+    out %= p
     return out
 
 

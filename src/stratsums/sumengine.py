@@ -10,9 +10,10 @@ serve as the other's oracle:
   into summands;
 * `complete_grid` transforms the kernel's pointwise data at m = 1
   (`trace_function_grid`) with numpy's FFT over the n point axes: complex
-  grids directly (`dft_grid`), exact grids as zeta-count fields whose
-  values at the p-th roots of unity are FFT'd and rounded back to integers
-  (`cyclo_dft`).
+  grids directly (`dft_grid`), exact grids as zeta-count fields
+  (`cyclo_dft`): a table product gives each row's values at the p-th
+  roots of unity, in-place FFTs transform them over the point axes, and
+  the conjugate table with integer rounding gives the counts back.
 
 Purely additive sums are carried exactly as zeta_p-coefficient counts
 (`CycloValue`), so identity checks are bit-exact rather than tolerance-based.
@@ -32,6 +33,7 @@ from .ffield import FieldCtx, gauss_sum
 from .polyring import AffineVariety, IntPolynomial
 
 _WEIGHT_KINDS = ("root_count", "kloosterman_phase", "kloosterman_value")
+_INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -115,19 +117,37 @@ class SumValue:
 def poly_values_grid(f: IntPolynomial, p: int, side: int | None = None) -> np.ndarray:
     """f mod p over the box [0, side)^n of F_p^n (side defaults to p, the
     full grid), shape (side,)*n, int64.  Each term is a broadcast product of
-    per-axis power tables of shape (1,..,side,..,1)."""
+    per-axis power tables of shape (1,..,side,..,1).
+
+    Reduction mod p is lazy: a term in k variables is below p^(k+1) before
+    reduction, and Python-int bounds on each term and on the running sum
+    reduce either only before it could pass 2^63.  On a grid within the
+    cap (p^n <= 2^26, so p^(k+1) <= 2^52) and with fewer than 2^11 terms,
+    that is once, at the end."""
     n = f.nvars
     side = p if side is None else side
+    tables = {}  # exponent -> x^e mod p for x in [0, side)
     out = np.zeros((side,) * n, dtype=np.int64)
+    total = 0  # bound on out
     for exps, coeff in f.terms.items():
-        term = np.int64(coeff % p)
+        term, bound = np.int64(coeff % p), p
         for i, e in enumerate(exps):
             if e:
+                if e not in tables:
+                    tables[e] = np.array([pow(x, e, p) for x in range(side)],
+                                         dtype=np.int64)
+                if bound * p > _INT64_LIMIT:
+                    term, bound = term % p, p
                 axis = [1] * n
                 axis[i] = side
-                powers = np.array([pow(x, e, p) for x in range(side)], dtype=np.int64)
-                term = term * powers.reshape(axis) % p
-        out = (out + term) % p
+                term = term * tables[e].reshape(axis)
+                bound *= p
+        if total + bound > _INT64_LIMIT:
+            out %= p
+            total = p
+        out += term
+        total += bound
+    out %= p
     return out
 
 
@@ -277,40 +297,93 @@ def dft_grid(values: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
     return np.fft.fftn(values)
 
 
+_BLOCK = 1 << 16  # zeta cells (rows x p) per row block of an exact grid
+
+
+def _row_blocks(rows: int, p: int):
+    """Bounds (lo, hi) of consecutive blocks of about _BLOCK // p rows.  No
+    block is a single row: numpy renders a one-row block by a dot product
+    rather than a matrix-vector product, which rounds differently."""
+    step = max(2, _BLOCK // p)
+    lo = 0
+    while lo < rows:
+        hi = rows if rows - lo <= step + 1 else lo + step
+        yield lo, hi
+        lo = hi
+
+
+def _scaled_index(c: int, p: int, n: int) -> np.ndarray:
+    """Flat index of (c h) mod p for every h in row-major (p,)*n order."""
+    perm = (c * np.arange(p)) % p
+    idx = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        idx = (idx[:, None] * p + perm).ravel()
+    return idx
+
+
 def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
     """Exact transform of a zeta-coefficient field: counts has shape
     (p,)*n + (p,), the trailing axis indexing zeta powers, and
     out[h, j] = sum_x counts[x, (j - sign h.x) mod p], int64.
 
     Each row is an element of Z[X]/(X^p - 1), so its values at all p-th
-    roots of unity fix it.  At X = zeta^s the transform is an ordinary DFT
-    over the point axes (an unnormalised inverse FFT), read at
-    (s sign h) mod p; integer rows need only s <= p//2 (rfft/irfft).
+    roots of unity fix it, and integer rows need only s <= p//2.  At
+    X = zeta^s the transform is an ordinary DFT over the point axes read at
+    (s sign h) mod p.  In row blocks of about _BLOCK zeta cells:
+
+    * each row's values at zeta^s, 1 <= s <= p//2, are the row times the
+      (p x p//2) table zeta^(t s), written slice by slice into one
+      contiguous spectrum of shape (p//2,) + (p,)*n;
+    * slice 0 is the same at every h, the total count, so it is not stored;
+    * the point-axis inverse FFTs run in place on the spectrum, and slice s
+      is permuted to (s sign h) mod p by one flat index;
+    * the coefficients come back as the conjugate table zeta^(-j s) with
+      weight 2/p (1/p at s = p/2, so for p = 2), plus total/p, and are
+      rounded block by block into the int64 output.
+
     Rounding is exact: every output coefficient is a sum of input counts,
-    and the float error of the FFTs is of order eps log(p^(n+1)) times the
-    count mass sum|counts|.  In `complete_grid` that mass is at most the
-    number of cells times p (one weight per point, a root count of at most
-    p), so at most p^(n+1) <= cap, and the error stays far below 1/2:
-    np.rint recovers the integers.  A rounding residual above 1e-3 raises
-    AssertionError rather than returning wrong counts."""
+    and the float error of the table products and the FFTs is of order
+    eps (p + log p^n) times the count mass sum|counts|.  In `complete_grid`
+    that mass is at most the number of cells times p (one weight per point,
+    a root count of at most p), so at most p^(n+1) <= cap, and the error
+    stays far below 1/2: np.rint recovers the integers.  A rounding residual
+    above 1e-3 raises AssertionError rather than returning wrong counts."""
     n = counts.ndim - 1
-    spec = np.fft.rfft(counts, axis=-1)
-    np.conjugate(spec, out=spec)                 # row values at zeta^s
-    for axis in range(n):  # not ifftn, which keeps its input alive to the end
-        spec = np.fft.ifft(spec, axis=axis, norm="forward")
-    hs = np.arange(p)
-    for s in range(p // 2 + 1):
-        spec[..., s] = spec[..., s][np.ix_(*[(s * sign * hs) % p] * n)]
-    np.conjugate(spec, out=spec)
-    out = np.fft.irfft(spec, n=p, axis=-1)
-    del spec
-    exact = np.rint(out)
-    out -= exact
-    residual = float(np.abs(out).max())
-    if residual > 1e-3:
-        raise AssertionError(f"cyclo_dft rounding residual {residual:.3g} "
-                             "exceeds 1e-3")
-    return exact.astype(np.int64)
+    rows = counts.reshape(-1, p)
+    half = p // 2
+    st = np.outer(np.arange(p), np.arange(1, half + 1))      # t s, (p, half)
+    fwd = np.ascontiguousarray(zeta_table(p)[st % p]).view(np.float64)
+    weight = np.full(half, 2.0 / p)
+    if p == 2:
+        weight[-1] = 1.0 / p
+    inv = zeta_table(p)[st.T % p] * weight[:, None]           # (half, p)
+    back = np.empty((2 * half, p))  # Re(g conj(z)) = g.re z.re + g.im z.im
+    back[0::2], back[1::2] = inv.real, inv.imag
+
+    spec = np.empty((half,) + (p,) * n, dtype=np.complex128)
+    flat = spec.reshape(half, -1)
+    for lo, hi in _row_blocks(len(rows), p):
+        flat[:, lo:hi] = (rows[lo:hi] @ fwd).view(np.complex128).T
+    mean = float(rows.sum()) / p
+    for axis in range(1, n + 1):
+        np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
+    for s in range(1, half + 1):
+        c = s * sign % p
+        if c != 1:
+            flat[s - 1] = flat[s - 1][_scaled_index(c, p, n)]
+
+    out = np.empty(rows.shape, dtype=np.int64)
+    for lo, hi in _row_blocks(len(rows), p):
+        coef = np.ascontiguousarray(flat[:, lo:hi].T).view(np.float64) @ back
+        coef += mean
+        exact = np.rint(coef)
+        coef -= exact
+        residual = float(np.abs(coef).max())
+        if residual > 1e-3:
+            raise AssertionError(f"cyclo_dft rounding residual {residual:.3g} "
+                                 "exceeds 1e-3")
+        out[lo:hi] = exact
+    return out.reshape(counts.shape)
 
 
 @dataclass
@@ -422,8 +495,9 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     p^n values otherwise.
 
     An exact grid scatters weight[x] to zeta power idx[x] of a count field,
-    transforms it with `cyclo_dft` and puts each cell in canonical form (min
-    coefficient 0, so exact zeros render as 0) before rendering it."""
+    transforms it with `cyclo_dft` and, over the same row blocks, puts each
+    cell in canonical form (min coefficient 0, so exact zeros render as 0)
+    and renders it."""
     n = spec.nvars
     if spec.linear_form is not None and any(spec.linear_form):
         raise ValueError("complete_grid sweeps all h; fix the spec's linear form to None")
@@ -438,9 +512,13 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     counts = np.zeros((p,) * n + (p,), dtype=np.int64)
     np.put_along_axis(counts, idx[..., None], weight[..., None], axis=-1)
     counts = cyclo_dft(counts, p, sign)
-    counts -= counts.min(axis=-1, keepdims=True)
-    values = np.tensordot(counts, zeta_table(p), axes=([-1], [0]))
-    return SumGrid(p=p, n=n, values=values, counts=counts)
+    rows, zeta = counts.reshape(-1, p), zeta_table(p)
+    values = np.empty(len(rows), dtype=np.complex128)
+    for lo, hi in _row_blocks(len(rows), p):
+        block = rows[lo:hi]
+        block -= block.min(axis=1, keepdims=True)
+        np.matmul(block, zeta, out=values[lo:hi])
+    return SumGrid(p=p, n=n, values=values.reshape((p,) * n), counts=counts)
 
 
 def S_F_grid(F: IntPolynomial, p: int, cap: int = DEFAULT_GRID_CAP) -> SumGrid:

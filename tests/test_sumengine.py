@@ -78,6 +78,21 @@ def test_poly_values_grid_matches_pointwise():
             assert grid[x] == f.eval_mod_p_int(x, p)
 
 
+def test_poly_values_grid_reduces_before_int64_overflow():
+    # p^3 > 2^63: a term in two or more variables, and the running sum of a
+    # few terms, must be reduced on the way
+    p, side = 2_147_483_647, 3  # 2^e mod p = 2^(e mod 31)
+    rng = random.Random(25)
+    terms = {(30, 29, 30, 28): p - 1, (2, 0, 3, 1): -1}
+    for _ in range(40):
+        terms[tuple(rng.randrange(20, 31) for _ in range(3)) + (0,)] = \
+            rng.randrange(p // 2, p)
+    f = IntPolynomial(4, terms)
+    grid = poly_values_grid(f, p, side)
+    for x in np.ndindex(*grid.shape):
+        assert grid[x] == f.eval_mod_p_int(x, p)
+
+
 # -- single sums -------------------------------------------------------------------
 
 
@@ -174,28 +189,64 @@ def integer_cyclo_dft(counts, p, sign):
     return out
 
 
-def test_cyclo_dft_matches_integer_reference():
+def test_cyclo_dft_matches_integer_reference(monkeypatch):
+    # p = 2 has the weight-1 slice s = p/2; p = 11, 13 have several slices
     rng = np.random.default_rng(24)
-    for p in (2, 3, 5, 7):
-        for n in (1, 2, 3):
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in (1, 2, 3) if p < 11 else (1, 2):
             for hot in (1, p):  # one-hot rows like a grid's, then full rows
                 counts = np.zeros((p,) * n + (p,), dtype=np.int64)
                 for x in np.ndindex(*(p,) * n):
                     cols = rng.choice(p, size=hot, replace=False)
                     counts[x + (cols,)] = rng.integers(-5, 6, size=hot)
                 for sign in (1, -1):
-                    got = cyclo_dft(counts.copy(), p, sign)
-                    assert got.dtype == np.int64
-                    assert np.array_equal(got, integer_cyclo_dft(counts, p, sign))
+                    want = integer_cyclo_dft(counts, p, sign)
+                    # the default row blocks, then blocks of 3 rows, so
+                    # that block edges fall inside the grid
+                    for block in (sumengine._BLOCK, 3 * p):
+                        with monkeypatch.context() as m:
+                            m.setattr(sumengine, "_BLOCK", block)
+                            got = cyclo_dft(counts.copy(), p, sign)
+                        assert got.dtype == np.int64
+                        assert np.array_equal(got, want), (p, n, hot, sign, block)
 
 
 def test_cyclo_dft_refuses_rounding_residual(monkeypatch):
-    irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
+    ifft = np.fft.ifft
+
+    def ifft_off_by_03(*args, **kwargs):  # the point-axis FFTs run in place
+        out = ifft(*args, **kwargs)
+        out += 0.3
+        return out
+
+    monkeypatch.setattr(np.fft, "ifft", ifft_off_by_03)
     counts = np.zeros((5, 5, 5), dtype=np.int64)
     counts[..., 0] = 1
     with pytest.raises(AssertionError, match="residual"):
         cyclo_dft(counts, 5)
+
+
+def test_complete_grid_values_bit_equal_whole_render(monkeypatch):
+    # `values` renders the canonical counts in row blocks; the witness
+    # columns of verify and catalog output depend on its float ties, so it
+    # must match a single tensordot over the whole field bit for bit
+    cubic = SumSpec(nvars=2, additive_phase=parse_poly("x1^3 + x1*x2^2", 2))
+    cases = [
+        (SumSpec(nvars=4, additive_phase=parse_poly("x1*x2 + x3*x4^2", 4)), 23,
+         sumengine._BLOCK),
+        (cubic, 127, sumengine._BLOCK),
+        # 127^2 = 126 * 128 + 1: blocks of 128 rows would leave one row over
+        (cubic, 127, 128 * 127),
+        (SumSpec(nvars=8, variety=AffineVariety(
+            8, [parse_poly("x1*x2 + x3*x4 + x5*x6 + x7*x8", 8)])), 5,
+         sumengine._BLOCK),
+    ]
+    for spec, p, block in cases:
+        monkeypatch.setattr(sumengine, "_BLOCK", block)
+        grid = complete_grid(spec, p)
+        assert grid.counts.min(axis=-1).max() == 0  # canonical
+        whole = np.tensordot(grid.counts, zeta_table(p), axes=([-1], [0]))
+        assert np.array_equal(grid.values, whole), (p, block)
 
 
 def test_complete_grid_constant_function():
