@@ -7,7 +7,9 @@ serve as the other's oracle:
 * `eval_sum` enumerates points and accumulates character values: the
   scalar reference, and the only code besides the trace-window kernel in
   `spectral` (which the `sum` command runs on) that turns a `SumSpec`
-  into summands;
+  into summands.  It evaluates each point once per (spec, field): the
+  `FieldElem` work goes into a cached point table (`_point_table`), and
+  each call folds its h in through the coordinate traces;
 * `complete_grid` transforms the kernel's pointwise data at m = 1
   (`trace_function_grid`) with numpy's FFT over the n point axes: complex
   grids directly (`dft_grid`), exact grids as zeta-count fields
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -214,70 +218,103 @@ def _kloosterman_raw_table(ctx: FieldCtx) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
+def _point_table(spec: SumSpec, ctx: FieldCtx, cap: int):
+    """Everything of the summand that does not depend on h, once per domain
+    point, by FieldElem enumeration: (idx, weight, tr, n_points,
+    twist_zeros).
+
+    * idx: the phase index Tr f(x), or Tr(x + a/x) for a Kloosterman phase;
+    * weight: the root count, Kloosterman value and chi(g(x)) factors,
+      int64 for an exact sum, complex128 otherwise;
+    * tr: shape (points, nvars), the coordinate traces Tr(x_i) read from
+      `ctx.trace_table`, so that Tr(h.x) = sum h_i Tr(x_i) for h in F_p^n.
+
+    Points where the twist g vanishes are counted in twist_zeros and not
+    stored.  The arrays retain 8 (nvars + 2) bytes per stored point (one
+    more word with complex weights), read-only.  `eval_sum` keys the cache
+    on the spec with its linear form removed; FieldCtx hashes by identity,
+    so two models of one field never share a table."""
+    p = ctx.p
+    kind = spec.trace_weight[0] if spec.trace_weight else None
+    chi_tab = None
+    if spec.mult_twist is not None:
+        g, order, index = spec.mult_twist
+        if (ctx.q - 1) % order != 0:
+            raise ValueError(f"character order {order} does not divide q-1")
+        chi_tab = ctx.mult_char_table(order, index)
+    kl_values = _kloosterman_raw_table(ctx) if kind == "kloosterman_value" else None
+    complex_sum = kind == "kloosterman_value" or chi_tab is not None
+    trace_of = ctx.trace_table.tolist()
+
+    idx, tr = array("q"), array("q")
+    weight = array("d" if complex_sum else "q")  # complex: (re, im) pairs
+    n_points = twist_zeros = 0
+    for point in enumerate_points(spec.variety, ctx, spec.nvars, spec.torus, cap):
+        n_points += 1
+        if kind == "kloosterman_phase":
+            x = point[0]
+            val = x + ctx.elem(spec.trace_weight[1] % p) * x.inverse()
+            i = ctx.trace_to_base(val)
+            w = 1
+        else:
+            i = 0
+            if spec.additive_phase is not None:
+                i = ctx.trace_to_base(spec.additive_phase.eval_mod(point))
+            w = 1
+            if kind == "root_count":
+                w = r_F(spec.trace_weight[1], point, ctx)
+        if kind == "kloosterman_value":
+            w = -kl_values[point[0].rank] / np.sqrt(ctx.q)
+        if chi_tab is not None:  # chi applies after the summand
+            gval = g.eval_mod(point)
+            if gval.is_zero():
+                twist_zeros += 1
+                continue
+            w = w * chi_tab[gval.rank]
+        idx.append(i)
+        if complex_sum:
+            w = complex(w)
+            weight.extend((w.real, w.imag))
+        else:
+            weight.append(w)
+        tr.extend(trace_of[x.rank] for x in point)
+
+    idx = np.frombuffer(idx, dtype=np.int64)
+    weight = np.frombuffer(weight, dtype=np.complex128 if complex_sum else np.int64)
+    tr = np.frombuffer(tr, dtype=np.int64).reshape(len(idx), spec.nvars)
+    for a in (idx, weight, tr):
+        a.flags.writeable = False
+    return idx, weight, tr, n_points, twist_zeros
+
+
 def eval_sum(spec: SumSpec, ctx: FieldCtx, h=None,
              cap: int = DEFAULT_ENUM_CAP) -> SumValue:
-    """Exact sum over the spec's domain by direct point enumeration."""
+    """Exact sum over the spec's domain by direct point enumeration.
+
+    The enumeration runs once per (spec, field model, cap) into
+    `_point_table`; each call then folds its h in as the phase shift
+    sum h_i Tr(x_i), since the trace is F_p-linear."""
     p = ctx.p
     if h is None:
         h = spec.linear_form
     if h is not None and len(h) != spec.nvars:
         raise ValueError("linear form length mismatch")
+    if spec.linear_form is not None:
+        spec = replace(spec, linear_form=None)
+    idx, weight, tr, n_points, twist_zeros = _point_table(spec, ctx, cap)
 
-    kind = spec.trace_weight[0] if spec.trace_weight else None
-    chi_tab = None
-    if spec.mult_twist is not None:
-        _, order, index = spec.mult_twist
-        if (ctx.q - 1) % order != 0:
-            raise ValueError(f"character order {order} does not divide q-1")
-        chi_tab = ctx.mult_char_table(order, index)
-
-    counts = [0] * p
-    acc = 0j
-    zeta = zeta_table(p)
-    n_points = 0
-    twist_zeros = 0
-    kl_values = _kloosterman_raw_table(ctx) if kind == "kloosterman_value" else None
-    complex_sum = kind == "kloosterman_value" or chi_tab is not None
-
-    for point in enumerate_points(spec.variety, ctx, spec.nvars, spec.torus, cap):
-        n_points += 1
-        if kind == "kloosterman_phase":
-            x = point[0]
-            a = spec.trace_weight[1] % p
-            val = x + ctx.elem(a) * x.inverse()
-            idx = ctx.trace_to_base(val)
-            weight = 1
-        else:
-            idx = 0
-            if spec.additive_phase is not None:
-                idx = ctx.trace_to_base(spec.additive_phase.eval_mod(point))
-            weight = 1
-            if kind == "root_count":
-                weight = r_F(spec.trace_weight[1], point, ctx)
-        if h is not None and any(h):
-            lin = ctx.zero()
-            for hi, xi in zip(h, point):
-                if hi % p:
-                    lin = lin + ctx.elem(hi) * xi
-            idx = (idx + ctx.trace_to_base(lin)) % p
-
-        if kind == "kloosterman_value":
-            weight = -kl_values[point[0].rank] / np.sqrt(ctx.q)
-        if chi_tab is not None:  # chi applies after the summand
-            gval = spec.mult_twist[0].eval_mod(point)
-            if gval.is_zero():
-                twist_zeros += 1
-                continue
-            weight = weight * chi_tab[gval.rank]
-        if complex_sum:
-            acc += weight * zeta[idx]
-        else:
-            counts[idx] += weight
-
-    if complex_sum:
-        value, cyc = complex(acc), None
+    if h is not None:
+        hv = np.array([hi % p for hi in h], dtype=np.int64)
+        if hv.any():
+            idx = (idx + tr @ hv) % p
+    if weight.dtype == np.complex128:
+        value, cyc = complex(np.dot(weight, zeta_table(p)[idx])), None
     else:
-        cyc = CycloValue(p, counts)
+        # bincount sums the weights in float64, exact while the total
+        # weight (at most q^(n+1), for root counts) stays below 2^53
+        counts = np.bincount(idx, weights=weight, minlength=p)
+        cyc = CycloValue(p, counts.astype(np.int64))
         value = cyc.to_complex()
     if spec.half_twist:
         value = value / ctx.q ** (spec.half_twist / 2)
@@ -310,6 +347,21 @@ def _row_blocks(rows: int, p: int):
         hi = rows if rows - lo <= step + 1 else lo + step
         yield lo, hi
         lo = hi
+
+
+def _render(counts: np.ndarray, p: int, canonical: bool = False) -> np.ndarray:
+    """values[h] = sum_j counts[h, j] zeta^j, one row block at a time, so
+    that no complex copy of the whole count field is made; bit-equal to a
+    whole-array tensordot.  With canonical, each row first has its minimum
+    subtracted in place (min coefficient 0, so exact zeros render as 0)."""
+    rows, zeta = counts.reshape(-1, p), zeta_table(p)
+    values = np.empty(len(rows), dtype=np.complex128)
+    for lo, hi in _row_blocks(len(rows), p):
+        block = rows[lo:hi]
+        if canonical:
+            block -= block.min(axis=1, keepdims=True)
+        np.matmul(block, zeta, out=values[lo:hi])
+    return values.reshape(counts.shape[:-1])
 
 
 def _scaled_index(c: int, p: int, n: int) -> np.ndarray:
@@ -347,9 +399,15 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
     that mass is at most the number of cells times p (one weight per point,
     a root count of at most p), so at most p^(n+1) <= cap, and the error
     stays far below 1/2: np.rint recovers the integers.  A rounding residual
-    above 1e-3 raises AssertionError rather than returning wrong counts."""
+    above 1e-3 raises AssertionError rather than returning wrong counts.
+
+    The forward products read every row before the first output row is
+    written, so the output is rounded straight into the input's buffer: a
+    C-contiguous int64 `counts` is overwritten and returned (reshaped), and
+    the transform holds two count-sized arrays, not three.  Other inputs
+    are copied to int64 first."""
     n = counts.ndim - 1
-    rows = counts.reshape(-1, p)
+    rows = np.ascontiguousarray(counts, dtype=np.int64).reshape(-1, p)
     half = p // 2
     st = np.outer(np.arange(p), np.arange(1, half + 1))      # t s, (p, half)
     fwd = np.ascontiguousarray(zeta_table(p)[st % p]).view(np.float64)
@@ -372,7 +430,6 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
         if c != 1:
             flat[s - 1] = flat[s - 1][_scaled_index(c, p, n)]
 
-    out = np.empty(rows.shape, dtype=np.int64)
     for lo, hi in _row_blocks(len(rows), p):
         coef = np.ascontiguousarray(flat[:, lo:hi].T).view(np.float64) @ back
         coef += mean
@@ -382,8 +439,8 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
         if residual > 1e-3:
             raise AssertionError(f"cyclo_dft rounding residual {residual:.3g} "
                                  "exceeds 1e-3")
-        out[lo:hi] = exact
-    return out.reshape(counts.shape)
+        rows[lo:hi] = exact
+    return rows.reshape(counts.shape)
 
 
 @dataclass
@@ -438,13 +495,13 @@ class SumGrid:
             if magic != cls._MAGIC:
                 raise ParseError(f"bad grid magic {magic!r}")
             p, n, kind = struct.unpack("<IIB", fh.read(9))
-            payload = fh.read()
+            payload = np.fromfile(fh, dtype=np.int64 if kind else np.complex128)
+            if fh.read(1):
+                raise ParseError("grid payload ends in a partial value")
         if kind:
-            counts = np.frombuffer(payload, dtype=np.int64).reshape((p,) * n + (p,))
-            values = np.tensordot(counts, zeta_table(p), axes=([-1], [0]))
-            return cls(p=p, n=n, values=values, counts=counts.copy())
-        values = np.frombuffer(payload, dtype=np.complex128).reshape((p,) * n)
-        return cls(p=p, n=n, values=values.copy())
+            counts = payload.reshape((p,) * n + (p,))
+            return cls(p=p, n=n, values=_render(counts, p), counts=counts)
+        return cls(p=p, n=n, values=payload.reshape((p,) * n))
 
     @classmethod
     def from_csv(cls, path) -> "SumGrid":
@@ -495,9 +552,9 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     p^n values otherwise.
 
     An exact grid scatters weight[x] to zeta power idx[x] of a count field,
-    transforms it with `cyclo_dft` and, over the same row blocks, puts each
-    cell in canonical form (min coefficient 0, so exact zeros render as 0)
-    and renders it."""
+    transforms it in place with `cyclo_dft` and, over the same row blocks
+    (`_render`), puts each cell in canonical form (min coefficient 0, so
+    exact zeros render as 0) and renders it."""
     n = spec.nvars
     if spec.linear_form is not None and any(spec.linear_form):
         raise ValueError("complete_grid sweeps all h; fix the spec's linear form to None")
@@ -512,13 +569,8 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     counts = np.zeros((p,) * n + (p,), dtype=np.int64)
     np.put_along_axis(counts, idx[..., None], weight[..., None], axis=-1)
     counts = cyclo_dft(counts, p, sign)
-    rows, zeta = counts.reshape(-1, p), zeta_table(p)
-    values = np.empty(len(rows), dtype=np.complex128)
-    for lo, hi in _row_blocks(len(rows), p):
-        block = rows[lo:hi]
-        block -= block.min(axis=1, keepdims=True)
-        np.matmul(block, zeta, out=values[lo:hi])
-    return SumGrid(p=p, n=n, values=values.reshape((p,) * n), counts=counts)
+    values = _render(counts, p, canonical=True)
+    return SumGrid(p=p, n=n, values=values, counts=counts)
 
 
 def S_F_grid(F: IntPolynomial, p: int, cap: int = DEFAULT_GRID_CAP) -> SumGrid:

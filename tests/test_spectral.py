@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from stratsums import sumengine
 from stratsums.errors import RankTooHigh
 from stratsums.ffield import FieldCtx, quadratic_gauss_sum
 from stratsums.polyring import AffineVariety, IntPolynomial, parse_poly
@@ -153,6 +154,34 @@ def test_complete_grid_matches_eval_sum_every_kind():
             else:
                 assert abs(grid.value_at(h) - want.value) <= \
                     1e-9 * max(1.0, abs(want.value)), (spec, p, h)
+
+
+def test_cached_eval_sum_matches_cold_call_every_kind():
+    # eval_sum folds h over a point table cached per (spec, field, cap);
+    # at every h in F_p^n it must give what a call on an empty cache gives
+    rng = random.Random(20261019)
+    fields = [(p, m) for p, m in DIFF_FIELDS if m <= 2]
+    for kind in DIFF_KINDS:
+        for _ in range(2):
+            spec = None
+            while spec is None or (p ** m) ** spec.nvars > 125:
+                p, m = rng.choice(fields)
+                spec = _random_spec(rng, kind, p, m)
+            ctx = FieldCtx(p, m)
+            sumengine._point_table.cache_clear()
+            eval_sum(spec, ctx)  # fill the cache
+            for h in np.ndindex(*(p,) * spec.nvars):
+                got = eval_sum(spec, ctx, h=h)
+                sumengine._point_table.cache_clear()
+                want = eval_sum(spec, ctx, h=h)
+                key = (kind, spec, p, m, h)
+                assert got.cyclo == want.cyclo, key
+                assert (got.n_points, got.twist_zeros) == \
+                    (want.n_points, want.twist_zeros), key
+                if spec.is_exact():
+                    assert got.cyclo is not None, key
+                assert abs(got.value - want.value) <= \
+                    1e-12 * max(1.0, abs(want.value)), key
 
 
 def test_kloosterman_s1_p5_golden():

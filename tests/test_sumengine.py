@@ -11,7 +11,7 @@ import pytest
 from stratsums import sumengine
 from stratsums.cyclo import CycloValue, zeta_table
 from stratsums.errors import CapExceeded
-from stratsums.ffield import FieldCtx
+from stratsums.ffield import FieldCtx, next_irreducible
 from stratsums.polyring import AffineVariety, IntPolynomial, parse_poly
 from stratsums.sumengine import (
     S_F_grid,
@@ -131,6 +131,78 @@ def test_eval_sum_extension_field():
     assert abs(abs(out.value) - 3.0) < 1e-9  # |Gauss sum over F_q| = sqrt(q)
 
 
+def test_eval_sum_fold_matches_fieldelem_loop():
+    # the fold adds sum h_i Tr(x_i); the loop takes Tr(f(x) + h.x) with
+    # FieldElem arithmetic at every point, as the reference did per call
+    for p, m in [(3, 2), (5, 2), (2, 3)]:
+        ctx = FieldCtx(p, m)
+        V = AffineVariety(2, [parse_poly("x1^2*x2 - x2^3 + x1")])
+        spec = SumSpec(nvars=2, variety=V, additive_phase=parse_poly("x1*x2^2 + x1"))
+        for h in [(1, 0), (p - 1, 1), (2, p + 1)]:
+            counts = [0] * p
+            for x in enumerate_points(V, ctx):
+                lin = ctx.elem(h[0]) * x[0] + ctx.elem(h[1]) * x[1]
+                counts[ctx.trace_to_base(spec.additive_phase.eval_mod(x) + lin)] += 1
+            assert eval_sum(spec, ctx, h=h).cyclo == CycloValue(p, counts), (p, m, h)
+
+
+def _cold(spec, ctx, **kw):
+    sumengine._point_table.cache_clear()
+    return eval_sum(spec, ctx, **kw)
+
+
+def test_eval_sum_cache_keeps_field_models_apart():
+    # chi comes from each model's own generator, so a twisted sum differs
+    # between two models of F_25; interleaved calls must not share a table
+    a = FieldCtx(5, 2)
+    b = FieldCtx(5, 2, modulus=next_irreducible(5, 2, a.modulus))
+    spec = SumSpec(nvars=2, additive_phase=parse_poly("x1*x2 + x2"),
+                   mult_twist=(parse_poly("x1 + x2^2 + 1"), 12, 1))
+    want = {ctx: _cold(spec, ctx, h=(1, 2)).value for ctx in (a, b)}
+    assert abs(want[a] - want[b]) > 1
+    for ctx in (a, b, b, a, b):
+        assert eval_sum(spec, ctx, h=(1, 2)).value == want[ctx]
+
+
+def test_eval_sum_cache_linear_form_and_h_reduction():
+    ctx = FieldCtx(3, 2)
+    base = SumSpec(nvars=2, additive_phase=parse_poly("x1^2*x2 + x2"),
+                   trace_weight=("root_count", parse_poly("x1^2 - x2", 3)))
+    lf = SumSpec(nvars=2, additive_phase=base.additive_phase,
+                 trace_weight=base.trace_weight, linear_form=(1, 2))
+    sumengine._point_table.cache_clear()
+    # the spec's linear form is the default h, and h= overrides it
+    assert eval_sum(lf, ctx).cyclo == eval_sum(base, ctx, h=(1, 2)).cyclo
+    assert eval_sum(lf, ctx, h=(2, 0)).cyclo == eval_sum(base, ctx, h=(2, 0)).cyclo
+    assert eval_sum(lf, ctx, h=(0, 0)).cyclo == eval_sum(base, ctx).cyclo
+    assert sumengine._point_table.cache_info().misses == 1  # one table for both
+    # h is read mod p: entries >= p or negative
+    for h, h_mod in [((4, -1), (1, 2)), ((3, -6), (0, 0)), ((-4, 8), (2, 2))]:
+        got = eval_sum(lf, ctx, h=h)
+        assert got.cyclo == eval_sum(base, ctx, h=h_mod).cyclo == \
+            _cold(lf, ctx, h=h).cyclo, h
+    assert _cold(base, ctx, h=(1, 2)).cyclo != _cold(base, ctx).cyclo
+
+
+def test_eval_sum_errors_before_enumeration(monkeypatch):
+    ctx = FieldCtx(3)
+    spec = SumSpec(nvars=2, additive_phase=parse_poly("x1*x2"))
+    eval_sum(spec, ctx)  # a cached table at the default cap
+
+    def no_enumeration(self):
+        raise AssertionError("enumerated before the check")
+
+    monkeypatch.setattr(FieldCtx, "elements", no_enumeration)
+    with pytest.raises(CapExceeded):
+        eval_sum(spec, ctx, h=(1, 1), cap=8)
+    twisted = SumSpec(nvars=2, mult_twist=(parse_poly("x1 + x2"), 4, 1))
+    with pytest.raises(ValueError, match="does not divide"):
+        eval_sum(twisted, ctx)
+    with pytest.raises(ValueError, match="length"):
+        eval_sum(spec, ctx, h=(1,))
+    assert eval_sum(spec, ctx, h=(1, 1)).n_points == 9  # still cached
+
+
 # -- power-sum identity ---------------------------------------------------------
 
 
@@ -206,8 +278,10 @@ def test_cyclo_dft_matches_integer_reference(monkeypatch):
                     for block in (sumengine._BLOCK, 3 * p):
                         with monkeypatch.context() as m:
                             m.setattr(sumengine, "_BLOCK", block)
-                            got = cyclo_dft(counts.copy(), p, sign)
+                            field = counts.copy()
+                            got = cyclo_dft(field, p, sign)
                         assert got.dtype == np.int64
+                        assert np.shares_memory(got, field)  # in place
                         assert np.array_equal(got, want), (p, n, hot, sign, block)
 
 
@@ -226,10 +300,11 @@ def test_cyclo_dft_refuses_rounding_residual(monkeypatch):
         cyclo_dft(counts, 5)
 
 
-def test_complete_grid_values_bit_equal_whole_render(monkeypatch):
+def test_complete_grid_values_bit_equal_whole_render(monkeypatch, tmp_path):
     # `values` renders the canonical counts in row blocks; the witness
     # columns of verify and catalog output depend on its float ties, so it
-    # must match a single tensordot over the whole field bit for bit
+    # must match a single tensordot over the whole field bit for bit, both
+    # from complete_grid and read back from a binary dump
     cubic = SumSpec(nvars=2, additive_phase=parse_poly("x1^3 + x1*x2^2", 2))
     cases = [
         (SumSpec(nvars=4, additive_phase=parse_poly("x1*x2 + x3*x4^2", 4)), 23,
@@ -247,6 +322,19 @@ def test_complete_grid_values_bit_equal_whole_render(monkeypatch):
         assert grid.counts.min(axis=-1).max() == 0  # canonical
         whole = np.tensordot(grid.counts, zeta_table(p), axes=([-1], [0]))
         assert np.array_equal(grid.values, whole), (p, block)
+        path = tmp_path / "grid.bin"
+        grid.to_binary(path)
+        back = SumGrid.from_binary(path)
+        assert np.array_equal(back.counts, grid.counts), (p, block)
+        assert np.array_equal(back.values, whole), (p, block)
+    # the read-back renders counts as given, without canonical form
+    p = 7
+    counts = np.random.default_rng(5).integers(-4, 9, size=(p, p, p))
+    SumGrid(p=p, n=2, values=np.zeros((p, p)), counts=counts).to_binary(path)
+    back = SumGrid.from_binary(path)
+    assert np.array_equal(back.counts, counts)
+    assert np.array_equal(back.values,
+                          np.tensordot(counts, zeta_table(p), axes=([-1], [0])))
 
 
 def test_complete_grid_constant_function():
@@ -420,6 +508,11 @@ def test_binary_round_trip(tmp_path):
     assert back.p == grid.p and back.n == grid.n
     assert np.array_equal(back.counts, grid.counts)
     assert np.allclose(back.values, grid.values)
+    dump = path.read_bytes()
+    for tail in (b"xyz", bytes(8)):  # a partial value, one value too many
+        path.write_bytes(dump + tail)
+        with pytest.raises(ValueError):
+            SumGrid.from_binary(path)
 
 
 def test_binary_round_trip_complex(tmp_path):
