@@ -15,7 +15,9 @@ serve as the other's oracle:
   grids directly (`dft_grid`), exact grids as zeta-count fields
   (`cyclo_dft`): a table product gives each row's values at the p-th
   roots of unity, in-place FFTs transform them over the point axes, and
-  the conjugate table with integer rounding gives the counts back.
+  the conjugate table with integer rounding gives the counts back.  A sum
+  that factors over disjoint variable blocks is the product of the blocks'
+  transforms (`_product_grid`).
 
 Purely additive sums are carried exactly as zeta_p-coefficient counts
 (`CycloValue`), so identity checks are bit-exact rather than tolerance-based.
@@ -27,7 +29,7 @@ import itertools
 import struct
 from array import array
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -406,30 +408,43 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
     C-contiguous int64 `counts` is overwritten and returned (reshaped), and
     the transform holds two count-sized arrays, not three.  Other inputs
     are copied to int64 first."""
-    n = counts.ndim - 1
     rows = np.ascontiguousarray(counts, dtype=np.int64).reshape(-1, p)
+    spectrum, total = _half_spectrum(rows, p, counts.ndim - 1, sign)
+    _round_counts(spectrum.reshape(p // 2, -1), total, p, rows)
+    return rows.reshape(counts.shape)
+
+
+def _half_spectrum(rows: np.ndarray, p: int, n: int, sign: int):
+    """`cyclo_dft` up to the rounding: count rows (p^n, p) to the permuted
+    spectrum, shape (p//2,) + (p,)*n, and the total count."""
     half = p // 2
     st = np.outer(np.arange(p), np.arange(1, half + 1))      # t s, (p, half)
     fwd = np.ascontiguousarray(zeta_table(p)[st % p]).view(np.float64)
+    spectrum = np.empty((half,) + (p,) * n, dtype=np.complex128)
+    flat = spectrum.reshape(half, -1)
+    for lo, hi in _row_blocks(len(rows), p):
+        flat[:, lo:hi] = (rows[lo:hi] @ fwd).view(np.complex128).T
+    for axis in range(1, n + 1):
+        np.fft.ifft(spectrum, axis=axis, norm="forward", out=spectrum)
+    for s in range(1, half + 1):
+        c = s * sign % p
+        if c != 1:
+            flat[s - 1] = flat[s - 1][_scaled_index(c, p, n)]
+    return spectrum, int(rows.sum())
+
+
+def _round_counts(flat: np.ndarray, total: int, p: int, rows: np.ndarray):
+    """The rest of `cyclo_dft`: a spectrum `flat` (p//2, p^n), any strides,
+    and the total count to int64 counts, rounded into rows (p^n, p)."""
+    half = p // 2
+    st = np.outer(np.arange(p), np.arange(1, half + 1))
     weight = np.full(half, 2.0 / p)
     if p == 2:
         weight[-1] = 1.0 / p
     inv = zeta_table(p)[st.T % p] * weight[:, None]           # (half, p)
     back = np.empty((2 * half, p))  # Re(g conj(z)) = g.re z.re + g.im z.im
     back[0::2], back[1::2] = inv.real, inv.imag
-
-    spec = np.empty((half,) + (p,) * n, dtype=np.complex128)
-    flat = spec.reshape(half, -1)
-    for lo, hi in _row_blocks(len(rows), p):
-        flat[:, lo:hi] = (rows[lo:hi] @ fwd).view(np.complex128).T
-    mean = float(rows.sum()) / p
-    for axis in range(1, n + 1):
-        np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
-    for s in range(1, half + 1):
-        c = s * sign % p
-        if c != 1:
-            flat[s - 1] = flat[s - 1][_scaled_index(c, p, n)]
-
+    mean = float(total) / p
     for lo, hi in _row_blocks(len(rows), p):
         coef = np.ascontiguousarray(flat[:, lo:hi].T).view(np.float64) @ back
         coef += mean
@@ -440,7 +455,6 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
             raise AssertionError(f"cyclo_dft rounding residual {residual:.3g} "
                                  "exceeds 1e-3")
         rows[lo:hi] = exact
-    return rows.reshape(counts.shape)
 
 
 @dataclass
@@ -544,17 +558,107 @@ def trace_function_grid(spec: SumSpec, p: int):
     return "complex", values
 
 
+def _support(monomials) -> set:
+    """The variables that occur in the given exponent tuples."""
+    return {i for e in monomials for i, k in enumerate(e) if k}
+
+
+def _var_blocks(spec: SumSpec) -> list[list[int]]:
+    """The variable blocks over which the sum factors, ordered by first
+    variable.  Variables share a block when they share a phase monomial, a
+    variety generator or the twist polynomial g; a trace weight joins all."""
+    n = spec.nvars
+    polys = list(spec.variety.generators) if spec.variety is not None else []
+    polys += [spec.mult_twist[0]] if spec.mult_twist is not None else []
+    links = [_support(f.terms) for f in polys]
+    links += [set(range(n))] if spec.trace_weight is not None else []
+    if spec.additive_phase is not None:
+        links += [_support([e]) for e in spec.additive_phase.terms]
+    label = list(range(n))  # label[i]: the least variable in i's block so far
+    for link in links:
+        joined = {label[i] for i in link}
+        label = [min(joined) if b in joined else b for b in label]
+    return [[i for i in range(n) if label[i] == b] for b in sorted(set(label))]
+
+
+def _block_spec(spec: SumSpec, block: list[int], first: bool) -> SumSpec:
+    """The factor of a spec without trace weight on one `_var_blocks`
+    block, in the block's variables.  Phase terms and polynomials with no
+    variable go to the first block; torus applies to every block."""
+    def mine(monomials):
+        support = _support(monomials)
+        return support <= set(block) if support else first
+
+    def restrict(terms):
+        return IntPolynomial(len(block), {tuple(e[i] for i in block): c
+                                          for e, c in terms})
+
+    gens = spec.variety.generators if spec.variety is not None else ()
+    phase = spec.additive_phase.terms if spec.additive_phase is not None else {}
+    twist = None
+    if spec.mult_twist is not None and mine(spec.mult_twist[0].terms):
+        twist = (restrict(spec.mult_twist[0].terms.items()),) + spec.mult_twist[1:]
+    return SumSpec(nvars=len(block), torus=spec.torus, mult_twist=twist,
+                   variety=AffineVariety(len(block), [
+                       restrict(g.terms.items()) for g in gens if mine(g.terms)]),
+                   additive_phase=restrict((e, c) for e, c in phase.items()
+                                           if mine([e])))
+
+
+def _count_field(weight: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
+    """The zeta-count field with weight[x] at zeta power idx[x]."""
+    counts = np.zeros(idx.shape + (p,), dtype=np.int64)
+    np.put_along_axis(counts, idx[..., None], weight[..., None], axis=-1)
+    return counts
+
+
+def _product_grid(spec: SumSpec, blocks: list[list[int]], p: int,
+                  sign: int) -> SumGrid:
+    """`complete_grid` as the product of the blocks' transforms: of their
+    permuted half-spectra and total counts, rounded as in `cyclo_dft`, or
+    of their `dft_grid` values, with the half twist applied once."""
+    n, half, exact = spec.nvars, p // 2, spec.is_exact()
+    parts, total = [], 1
+    for k, block in enumerate(blocks):
+        data = trace_function_grid(_block_spec(spec, block, k == 0), p)
+        shape = [p if i in block else 1 for i in range(n)]
+        if exact:
+            rows = _count_field(data[1], data[2], p).reshape(-1, p)
+            part, count = _half_spectrum(rows, p, len(block), sign)
+            parts.append(np.moveaxis(part, 0, -1).reshape(shape + [half]))
+            total *= count
+        else:
+            values = data[1] if data[0] == "complex" \
+                else data[1] * zeta_table(p)[data[2]]
+            parts.append(dft_grid(values, p, sign).reshape(shape))
+    if not exact:
+        values = reduce(np.multiply, parts)
+        values /= p ** (spec.half_twist / 2)
+        return SumGrid(p=p, n=n, values=values)
+    counts = np.empty((p,) * n + (p,), dtype=np.int64)
+    # the product (s axis last) is freed before the render
+    _round_counts(reduce(np.multiply, parts).reshape(-1, half).T, total, p,
+                  counts.reshape(-1, p))
+    return SumGrid(p=p, n=n, values=_render(counts, p, canonical=True),
+                   counts=counts)
+
+
 def complete_grid(spec: SumSpec, p: int, sign: int = 1,
                   cap: int = DEFAULT_GRID_CAP) -> SumGrid:
     """All sums S(h) = sum_x t(x) psi(h.x) at once, as an n-dimensional
     transform of the pointwise trace values.  Base field only.  The cap
-    bounds the largest array: the p^(n+1) zeta counts of an exact grid, the
-    p^n values otherwise.
+    bounds the largest array of the whole grid: the p^(n+1) zeta counts of
+    an exact grid, the p^n values otherwise.
 
-    An exact grid scatters weight[x] to zeta power idx[x] of a count field,
-    transforms it in place with `cyclo_dft` and, over the same row blocks
-    (`_render`), puts each cell in canonical form (min coefficient 0, so
-    exact zeros render as 0) and renders it."""
+    A spec that factors over several variable blocks (`_var_blocks`), on a
+    grid of more than one row block (p^(n+1) > _BLOCK), is the product of
+    its blocks' transforms (`_product_grid`): the same exact counts, within
+    the same rounding bound, as block count masses multiply to the whole
+    field's.  Other grids are transformed whole: an exact one scatters
+    weight[x] to zeta power idx[x] of a count field and transforms it in
+    place with `cyclo_dft`.  An exact grid peaks at two count fields; over
+    the same row blocks (`_render`) each cell is put in canonical form (min
+    coefficient 0, so exact zeros render as 0) and rendered."""
     n = spec.nvars
     if spec.linear_form is not None and any(spec.linear_form):
         raise ValueError("complete_grid sweeps all h; fix the spec's linear form to None")
@@ -562,13 +666,13 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
         raise CapExceeded(f"exact grid needs {p}^{n + 1} zeta counts, over cap {cap}")
     if p ** n > cap:
         raise CapExceeded(f"grid {p}^{n} exceeds cap {cap}")
+    blocks = _var_blocks(spec) if p ** (n + 1) > _BLOCK else []
+    if len(blocks) > 1:
+        return _product_grid(spec, blocks, p, sign)
     data = trace_function_grid(spec, p)
     if data[0] == "complex":
         return SumGrid(p=p, n=n, values=dft_grid(data[1], p, sign))
-    _, weight, idx = data
-    counts = np.zeros((p,) * n + (p,), dtype=np.int64)
-    np.put_along_axis(counts, idx[..., None], weight[..., None], axis=-1)
-    counts = cyclo_dft(counts, p, sign)
+    counts = cyclo_dft(_count_field(data[1], data[2], p), p, sign)
     values = _render(counts, p, canonical=True)
     return SumGrid(p=p, n=n, values=values, counts=counts)
 

@@ -124,10 +124,12 @@ def test_extension_sum_kernel_matches_eval_sum():
     _assert_kernel_matches_eval_sum(cases)
 
 
-def test_complete_grid_matches_eval_sum_every_kind():
+def test_complete_grid_matches_eval_sum_every_kind(monkeypatch):
     # the base-field grid, built from the kernel's pointwise data, against
     # FieldElem enumeration at every h; grids of at most 125 cells keep the
-    # p^(2n) enumeration work to about a second
+    # p^(2n) enumeration work to about a second.  Each grid is built whole
+    # and, with row blocks forced below its size, split over its variable
+    # blocks where the spec factors
     rng = random.Random(20261018)
     cases = []
     for kind in DIFF_KINDS:
@@ -146,14 +148,19 @@ def test_complete_grid_matches_eval_sum_every_kind():
                  mult_twist=(parse_poly("x1^2 + 2"), 3, 1)), 7),
     ]
     for spec, p in cases:
-        grid, ctx = complete_grid(spec, p), FieldCtx(p)
+        grids, ctx = [], FieldCtx(p)
+        for block in (sumengine._BLOCK, 1):
+            with monkeypatch.context() as m:
+                m.setattr(sumengine, "_BLOCK", block)
+                grids.append(complete_grid(spec, p))
         for h in np.ndindex(*(p,) * spec.nvars):
             want = eval_sum(spec, ctx, h=h)
-            if spec.is_exact():
-                assert grid.cyclo_at(h) == want.cyclo, (spec, p, h)
-            else:
-                assert abs(grid.value_at(h) - want.value) <= \
-                    1e-9 * max(1.0, abs(want.value)), (spec, p, h)
+            for grid in grids:
+                if spec.is_exact():
+                    assert grid.cyclo_at(h) == want.cyclo, (spec, p, h)
+                else:
+                    assert abs(grid.value_at(h) - want.value) <= \
+                        1e-9 * max(1.0, abs(want.value)), (spec, p, h)
 
 
 def test_cached_eval_sum_matches_cold_call_every_kind():

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -335,6 +336,130 @@ def test_complete_grid_values_bit_equal_whole_render(monkeypatch, tmp_path):
     assert np.array_equal(back.counts, counts)
     assert np.array_equal(back.values,
                           np.tensordot(counts, zeta_table(p), axes=([-1], [0])))
+
+
+# -- grids split over variable blocks ------------------------------------------------
+
+SPLIT = 1            # _BLOCK below every grid: split whenever there are blocks
+WHOLE = 1 << 62      # _BLOCK above every grid: always the whole transform
+
+
+def test_var_blocks_join_only_what_must_stay_together():
+    def blocks(n, f, **kw):
+        return sumengine._var_blocks(
+            SumSpec(nvars=n, additive_phase=parse_poly(f, n), **kw))
+
+    assert blocks(4, "x1*x2 + x3*x4^2") == [[0, 1], [2, 3]]
+    assert blocks(4, "x1*x3 + x2^2*x4 + 3") == [[0, 2], [1, 3]]  # interleaved
+    assert blocks(3, "x1*x2 + 1") == [[0, 1], [2]]  # x3 is unused
+    # joined only by the twist polynomial, by one generator spanning both
+    # blocks, or by a root-count weight
+    g = parse_poly("x2 + x3 + 1", 4)
+    assert blocks(4, "x1*x2 + x3*x4", mult_twist=(g, 2, 1)) == [[0, 1, 2, 3]]
+    V = AffineVariety(4, [parse_poly("x1^2 + 1", 4), parse_poly("x1 + x4", 4)])
+    assert blocks(4, "x1*x2 + x3*x4", variety=V) == [[0, 1, 2, 3]]
+    F = IntPolynomial(3, {(2, 0, 0): 1, (0, 1, 0): -1})  # y^2 - x1
+    assert blocks(2, "x1 + x2", trace_weight=("root_count", F)) == [[0, 1]]
+
+
+def _random_separable_spec(rng, p, complex_sum):
+    # phase monomials on disjoint (often interleaved) variable groups, now
+    # and then a generator on one group, constant terms, free variables and
+    # the torus; a complex spec adds a twist on one group or a half twist
+    n = rng.randint(2, {2: 4, 3: 4, 5: 3, 7: 3, 11: 2, 13: 2}[p])
+    label = [0, 1] + [rng.randrange(n) for _ in range(n - 2)]
+    rng.shuffle(label)
+    groups = [[i for i in range(n) if label[i] == b] for b in sorted(set(label))]
+
+    def poly(group, nterms, const):
+        terms = {(0,) * n: const}
+        for k in range(nterms):  # the first term joins the whole group
+            exps = [0] * n
+            for i in rng.sample(group, rng.randint(1, len(group)) if k else len(group)):
+                exps[i] = rng.randint(1, 3)
+            terms[tuple(exps)] = rng.randint(1, p + 1)
+        return IntPolynomial(n, terms)
+
+    phase = IntPolynomial.constant(rng.randint(0, 3), n)
+    gens = []
+    for group in groups:
+        if rng.random() < 0.8:  # otherwise the group's variables stay free
+            phase = phase + poly(group, rng.randint(1, 2), 0)
+        if rng.random() < 0.3:
+            gens.append(poly(group, rng.randint(1, 2), rng.randint(-2, 2)))
+    kw = dict(nvars=n, additive_phase=phase, torus=rng.random() < 0.3,
+              variety=AffineVariety(n, gens) if gens else None)
+    if complex_sum and (p == 2 or rng.random() < 0.6):
+        order = rng.choice([d for d in range(1, p) if (p - 1) % d == 0])
+        kw["mult_twist"] = (poly(rng.choice(groups), 1, rng.randint(0, 2)),
+                            order, rng.randrange(1, order + 1))
+    elif complex_sum:
+        kw["half_twist"] = rng.choice((1, 2))
+    return SumSpec(**kw)
+
+
+def test_split_grid_matches_whole_transform(monkeypatch):
+    # the product of block transforms against the whole field's transform:
+    # bit-equal counts and values for exact grids, and for complex grids
+    # agreement to 1e-12 relative and with eval_sum at seeded h
+    rng = random.Random(20261021)
+    for p in (2, 3, 5, 7, 11, 13):
+        ctx = FieldCtx(p)
+        for trial in range(8):
+            spec = _random_separable_spec(rng, p, complex_sum=trial % 2 == 1)
+            assert len(sumengine._var_blocks(spec)) > 1, spec
+            assert spec.is_exact() == (trial % 2 == 0)
+            for sign in (1, -1):
+                grids = []
+                for block in (SPLIT, WHOLE):
+                    monkeypatch.setattr(sumengine, "_BLOCK", block)
+                    grids.append(complete_grid(spec, p, sign))
+                split, whole = grids
+                if spec.is_exact():
+                    assert np.array_equal(split.counts, whole.counts), (spec, p, sign)
+                    assert np.array_equal(split.values, whole.values), (spec, p, sign)
+                    continue
+                scale = max(1.0, float(np.abs(whole.values).max()))
+                assert np.abs(split.values - whole.values).max() <= 1e-12 * scale
+                for _ in range(3):
+                    h = tuple(rng.randrange(p) for _ in range(spec.nvars))
+                    want = eval_sum(spec, ctx, h=h).value
+                    got = split.value_at(tuple(sign * hi for hi in h))
+                    assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (spec, p, h)
+
+
+def test_split_grid_checks_the_whole_grid_cap_first(monkeypatch):
+    # the cap counts the whole grid's p^(n+1) zeta counts (p^n values for a
+    # complex grid), before any block is built
+    def no_grid(spec, p):
+        raise RuntimeError(f"trace_function_grid on {spec.nvars} variables")
+
+    monkeypatch.setattr(sumengine, "trace_function_grid", no_grid)
+    monkeypatch.setattr(sumengine, "_BLOCK", SPLIT)
+    exact = SumSpec(nvars=4, additive_phase=parse_poly("x1*x2 + x3*x4^2", 4))
+    assert len(sumengine._var_blocks(exact)) == 2
+    with pytest.raises(CapExceeded):
+        complete_grid(exact, 23, cap=23 ** 5 - 1)
+    twisted = replace(exact, mult_twist=(parse_poly("x1 + 1", 4), 2, 1))
+    with pytest.raises(CapExceeded):
+        complete_grid(twisted, 23, cap=23 ** 4 - 1)
+    with pytest.raises(RuntimeError, match="on 2 variables"):  # one block
+        complete_grid(exact, 23, cap=23 ** 5)
+
+
+def test_split_grid_refuses_rounding_residual(monkeypatch):
+    ifft = np.fft.ifft
+
+    def ifft_off_by_03(*args, **kwargs):
+        out = ifft(*args, **kwargs)
+        out += 0.3
+        return out
+
+    monkeypatch.setattr(np.fft, "ifft", ifft_off_by_03)
+    monkeypatch.setattr(sumengine, "_BLOCK", SPLIT)
+    spec = SumSpec(nvars=2, additive_phase=parse_poly("x1^2 + x2", 2))
+    with pytest.raises(AssertionError, match="residual"):
+        complete_grid(spec, 5)
 
 
 def test_complete_grid_constant_function():
