@@ -15,9 +15,9 @@ serve as the other's oracle:
   grids directly (`dft_grid`), exact grids as zeta-count fields
   (`cyclo_dft`): a table product gives each row's values at the p-th
   roots of unity, in-place FFTs transform them over the point axes, and
-  the conjugate table with integer rounding gives the counts back.  A sum
-  that factors over disjoint variable blocks is the product of the blocks'
-  transforms (`_product_grid`).
+  the conjugate table with integer rounding gives the counts back.  An
+  exact sum that factors over disjoint variable blocks is the product of
+  the blocks' transforms (`_product_grid`).
 
 Purely additive sums are carried exactly as zeta_p-coefficient counts
 (`CycloValue`), so identity checks are bit-exact rather than tolerance-based.
@@ -414,12 +414,16 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
     return rows.reshape(counts.shape)
 
 
+def _zeta_powers(p: int) -> np.ndarray:
+    """zeta^(t s) for t < p, 1 <= s <= p//2 as float pairs, (p, 2 (p//2))."""
+    st = np.outer(np.arange(p), np.arange(1, p // 2 + 1))
+    return np.ascontiguousarray(zeta_table(p)[st % p]).view(np.float64)
+
+
 def _half_spectrum(rows: np.ndarray, p: int, n: int, sign: int):
     """`cyclo_dft` up to the rounding: count rows (p^n, p) to the permuted
     spectrum, shape (p//2,) + (p,)*n, and the total count."""
-    half = p // 2
-    st = np.outer(np.arange(p), np.arange(1, half + 1))      # t s, (p, half)
-    fwd = np.ascontiguousarray(zeta_table(p)[st % p]).view(np.float64)
+    half, fwd = p // 2, _zeta_powers(p)
     spectrum = np.empty((half,) + (p,) * n, dtype=np.complex128)
     flat = spectrum.reshape(half, -1)
     for lo, hi in _row_blocks(len(rows), p):
@@ -436,14 +440,8 @@ def _half_spectrum(rows: np.ndarray, p: int, n: int, sign: int):
 def _round_counts(flat: np.ndarray, total: int, p: int, rows: np.ndarray):
     """The rest of `cyclo_dft`: a spectrum `flat` (p//2, p^n), any strides,
     and the total count to int64 counts, rounded into rows (p^n, p)."""
-    half = p // 2
-    st = np.outer(np.arange(p), np.arange(1, half + 1))
-    weight = np.full(half, 2.0 / p)
-    if p == 2:
-        weight[-1] = 1.0 / p
-    inv = zeta_table(p)[st.T % p] * weight[:, None]           # (half, p)
-    back = np.empty((2 * half, p))  # Re(g conj(z)) = g.re z.re + g.im z.im
-    back[0::2], back[1::2] = inv.real, inv.imag
+    # Re(g conj(z)) = g.re z.re + g.im z.im, weight 2/p (1/p at s = p/2)
+    back = _zeta_powers(p).T * ((1.0 if p == 2 else 2.0) / p)
     mean = float(total) / p
     for lo, hi in _row_blocks(len(rows), p):
         coef = np.ascontiguousarray(flat[:, lo:hi].T).view(np.float64) @ back
@@ -582,25 +580,22 @@ def _var_blocks(spec: SumSpec) -> list[list[int]]:
 
 
 def _block_spec(spec: SumSpec, block: list[int], first: bool) -> SumSpec:
-    """The factor of a spec without trace weight on one `_var_blocks`
-    block, in the block's variables.  Phase terms and polynomials with no
+    """The factor of an exact spec without trace weight on one `_var_blocks`
+    block, in the block's variables.  Phase terms and generators with no
     variable go to the first block; torus applies to every block."""
     def mine(monomials):
         support = _support(monomials)
-        return support <= set(block) if support else first
+        return support <= set(block) and (first or bool(support))
 
     def restrict(terms):
         return IntPolynomial(len(block), {tuple(e[i] for i in block): c
                                           for e, c in terms})
 
     gens = spec.variety.generators if spec.variety is not None else ()
+    gens = [restrict(g.terms.items()) for g in gens if mine(g.terms)]
     phase = spec.additive_phase.terms if spec.additive_phase is not None else {}
-    twist = None
-    if spec.mult_twist is not None and mine(spec.mult_twist[0].terms):
-        twist = (restrict(spec.mult_twist[0].terms.items()),) + spec.mult_twist[1:]
-    return SumSpec(nvars=len(block), torus=spec.torus, mult_twist=twist,
-                   variety=AffineVariety(len(block), [
-                       restrict(g.terms.items()) for g in gens if mine(g.terms)]),
+    return SumSpec(nvars=len(block), torus=spec.torus,
+                   variety=AffineVariety(len(block), gens) if gens else None,
                    additive_phase=restrict((e, c) for e, c in phase.items()
                                            if mine([e])))
 
@@ -614,27 +609,17 @@ def _count_field(weight: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
 
 def _product_grid(spec: SumSpec, blocks: list[list[int]], p: int,
                   sign: int) -> SumGrid:
-    """`complete_grid` as the product of the blocks' transforms: of their
-    permuted half-spectra and total counts, rounded as in `cyclo_dft`, or
-    of their `dft_grid` values, with the half twist applied once."""
-    n, half, exact = spec.nvars, p // 2, spec.is_exact()
+    """`complete_grid` of an exact spec as the product of its blocks'
+    permuted half-spectra and total counts, rounded as in `cyclo_dft`."""
+    n, half = spec.nvars, p // 2
     parts, total = [], 1
     for k, block in enumerate(blocks):
-        data = trace_function_grid(_block_spec(spec, block, k == 0), p)
-        shape = [p if i in block else 1 for i in range(n)]
-        if exact:
-            rows = _count_field(data[1], data[2], p).reshape(-1, p)
-            part, count = _half_spectrum(rows, p, len(block), sign)
-            parts.append(np.moveaxis(part, 0, -1).reshape(shape + [half]))
-            total *= count
-        else:
-            values = data[1] if data[0] == "complex" \
-                else data[1] * zeta_table(p)[data[2]]
-            parts.append(dft_grid(values, p, sign).reshape(shape))
-    if not exact:
-        values = reduce(np.multiply, parts)
-        values /= p ** (spec.half_twist / 2)
-        return SumGrid(p=p, n=n, values=values)
+        _, weight, idx = trace_function_grid(_block_spec(spec, block, k == 0), p)
+        part, count = _half_spectrum(_count_field(weight, idx, p).reshape(-1, p),
+                                     p, len(block), sign)
+        shape = [p if i in block else 1 for i in range(n)] + [half]
+        parts.append(np.moveaxis(part, 0, -1).reshape(shape))
+        total *= count
     counts = np.empty((p,) * n + (p,), dtype=np.int64)
     # the product (s axis last) is freed before the render
     _round_counts(reduce(np.multiply, parts).reshape(-1, half).T, total, p,
@@ -650,15 +635,14 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     bounds the largest array of the whole grid: the p^(n+1) zeta counts of
     an exact grid, the p^n values otherwise.
 
-    A spec that factors over several variable blocks (`_var_blocks`), on a
-    grid of more than one row block (p^(n+1) > _BLOCK), is the product of
-    its blocks' transforms (`_product_grid`): the same exact counts, within
-    the same rounding bound, as block count masses multiply to the whole
-    field's.  Other grids are transformed whole: an exact one scatters
-    weight[x] to zeta power idx[x] of a count field and transforms it in
-    place with `cyclo_dft`.  An exact grid peaks at two count fields; over
-    the same row blocks (`_render`) each cell is put in canonical form (min
-    coefficient 0, so exact zeros render as 0) and rendered."""
+    An exact grid scatters weight[x] to zeta power idx[x] of a count field
+    and transforms it in place with `cyclo_dft`, or, if the spec factors
+    over variable blocks (`_var_blocks`) and p^(n+1) > _BLOCK, multiplies
+    the blocks' spectra (`_product_grid`): block count masses multiply to
+    the whole field's, so the rounding bound holds.  Either way it peaks
+    at two count fields; over the same row blocks (`_render`) each cell is
+    put in canonical form (min coefficient 0, so exact zeros render as 0)
+    and rendered."""
     n = spec.nvars
     if spec.linear_form is not None and any(spec.linear_form):
         raise ValueError("complete_grid sweeps all h; fix the spec's linear form to None")
@@ -666,7 +650,7 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
         raise CapExceeded(f"exact grid needs {p}^{n + 1} zeta counts, over cap {cap}")
     if p ** n > cap:
         raise CapExceeded(f"grid {p}^{n} exceeds cap {cap}")
-    blocks = _var_blocks(spec) if p ** (n + 1) > _BLOCK else []
+    blocks = _var_blocks(spec) if spec.is_exact() and p ** (n + 1) > _BLOCK else []
     if len(blocks) > 1:
         return _product_grid(spec, blocks, p, sign)
     data = trace_function_grid(spec, p)
