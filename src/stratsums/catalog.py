@@ -431,41 +431,32 @@ def _family_delta_ft_grid(n: int, p: int, cap: int = DEFAULT_GRID_CAP) -> SumGri
     return complete_grid(spec, p, cap=cap)
 
 
-def _fiber_quadric_grid(dvec, p: int) -> SumGrid:
-    """Exact T(F_d, v; p) grid for one coefficient vector d (the zero form
-    sums over all of A^n)."""
-    n = len(dvec)
-    terms = {}
-    for i, di in enumerate(dvec):
-        if di % p:
-            terms[tuple(2 * int(j == i) for j in range(n))] = int(di)
-    if terms:
-        V = AffineVariety(n, [IntPolynomial(n, terms)])
-        spec = SumSpec(nvars=n, variety=V)
-    else:
-        spec = SumSpec(nvars=n)
-    return complete_grid(spec, p)
-
-
 def family_identity_check(n: int, p: int):
     """Bit-exact check of FT(phi)(c, d, v) = p^n psi(d.c) T(F_d, v; p) over
     the full (c, d, v) grid, in cyclotomic counts.  Also verifies
     |FT(c, d, v)| = |FT(0, d, v)| for every c.  Returns (ok, mismatches),
     the mismatching (c, d, v) in lexicographic (d, v, c) order.
 
-    Both sides are canonical (min count 0), and multiplying by psi(d.c)
-    rotates the counts by d.c, so the check compares count arrays:
-    counts[c, d, v, k] against p^n fiber_d.counts[v, (k - d.c) mod p]."""
+    The fibers T(F_d, v; p) come from one exact grid over (d, x) with d as
+    family parameters (the d = 0 fiber sums over all of A^n).  Both sides
+    are canonical (min count 0), and multiplying by psi(d.c) rotates the
+    counts by d.c, so the check compares count arrays one residue
+    r = d.c mod p at a time: the (c, d) rows with d.c = r against p^n times
+    the fibers rolled by r."""
     grid = _family_delta_ft_grid(n, p)
-    fibers = np.stack([_fiber_quadric_grid(dvec, p).counts for dvec in
-                       itertools.product(range(p), repeat=n)])
-    fibers = fibers.reshape((1,) * n + (p,) * (2 * n) + (p,))
+    dx = [IntPolynomial.variable(i, 2 * n) for i in range(2 * n)]
+    quadric = sum((dx[i] * dx[n + i] ** 2 for i in range(n)), IntPolynomial.zero(2 * n))
+    fibers = complete_grid(SumSpec(nvars=2 * n, variety=AffineVariety(2 * n, [quadric])),
+                           p, params=n).counts.reshape(p ** n, p ** n, p)
     cd = np.indices((p,) * (2 * n), dtype=np.int64)
-    dc = sum(cd[i] * cd[n + i] for i in range(n)) % p
-    shift = (np.arange(p) - dc[..., None]) % p
-    shift = shift.reshape((p,) * (2 * n) + (1,) * n + (p,))
-    rhs = p ** n * np.take_along_axis(fibers, shift, axis=-1)
-    bad = (grid.counts != rhs).any(axis=-1)
+    dc = sum(cd[i] * cd[n + i] for i in range(n)).reshape(p ** n, p ** n) % p
+    counts = grid.counts.reshape(p ** n, p ** n, p ** n, p)
+    bad = np.empty(counts.shape[:-1], dtype=bool)
+    for r in range(p):
+        ci, di = np.nonzero(dc == r)
+        rhs = p ** n * np.roll(fibers, r, axis=-1)
+        bad[ci, di] = (counts[ci, di] != rhs[di]).any(axis=-1)
+    bad = bad.reshape((p,) * (3 * n))
     order = list(range(n, 3 * n)) + list(range(n))
     mismatches = [(tuple(dvc[2 * n:]), tuple(dvc[:n]), tuple(dvc[n:2 * n]))
                   for dvc in np.argwhere(bad.transpose(order)).tolist()]

@@ -17,7 +17,9 @@ serve as the other's oracle:
   roots of unity, in-place FFTs transform them over the point axes, and
   the conjugate table with integer rounding gives the counts back.  An
   exact sum that factors over disjoint variable blocks is the product of
-  the blocks' transforms (`_product_grid`).
+  the blocks' transforms (`_product_grid`).  With `params=k` the first k
+  point axes are family parameters: only the last n - k are transformed,
+  so one call builds every fiber of a family, each rounded on its own.
 
 Purely additive sums are carried exactly as zeta_p-coefficient counts
 (`CycloValue`), so identity checks are bit-exact rather than tolerance-based.
@@ -366,19 +368,23 @@ def _render(counts: np.ndarray, p: int, canonical: bool = False) -> np.ndarray:
     return values.reshape(counts.shape[:-1])
 
 
-def _scaled_index(c: int, p: int, n: int) -> np.ndarray:
-    """Flat index of (c h) mod p for every h in row-major (p,)*n order."""
-    perm = (c * np.arange(p)) % p
+def _scaled_index(c: int, p: int, n: int, params: int = 0) -> np.ndarray:
+    """Flat index of (c h) mod p for every h in row-major (p,)*n order, the
+    first `params` coordinates of h left as they are."""
     idx = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
+    for axis in range(n):
+        perm = np.arange(p) if axis < params else (c * np.arange(p)) % p
         idx = (idx[:, None] * p + perm).ravel()
     return idx
 
 
-def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
+def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1, params: int = 0) -> np.ndarray:
     """Exact transform of a zeta-coefficient field: counts has shape
     (p,)*n + (p,), the trailing axis indexing zeta powers, and
-    out[h, j] = sum_x counts[x, (j - sign h.x) mod p], int64.
+    out[h, j] = sum_x counts[x, (j - sign h.x) mod p], int64.  With
+    params = k the first k point axes are family parameters a, not
+    transformed: out[a, h, j] = sum_x counts[a, x, (j - sign h.x) mod p]
+    over the last n - k axes, the transform of each fiber.
 
     Each row is an element of Z[X]/(X^p - 1), so its values at all p-th
     roots of unity fix it, and integer rows need only s <= p//2.  At
@@ -388,20 +394,24 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
     * each row's values at zeta^s, 1 <= s <= p//2, are the row times the
       (p x p//2) table zeta^(t s), written slice by slice into one
       contiguous spectrum of shape (p//2,) + (p,)*n;
-    * slice 0 is the same at every h, the total count, so it is not stored;
-    * the point-axis inverse FFTs run in place on the spectrum, and slice s
-      is permuted to (s sign h) mod p by one flat index;
+    * slice 0 is the same at every h of a fiber, the fiber's total count,
+      so it is not stored;
+    * the inverse FFTs over the last n - k point axes run in place on the
+      spectrum, and slice s is permuted to (s sign h) mod p on those axes
+      by one flat index;
     * the coefficients come back as the conjugate table zeta^(-j s) with
-      weight 2/p (1/p at s = p/2, so for p = 2), plus total/p, and are
-      rounded block by block into the int64 output.
+      weight 2/p (1/p at s = p/2, so for p = 2), plus each row's own fiber
+      total/p, and are rounded block by block into the int64 output.
 
     Rounding is exact: every output coefficient is a sum of input counts,
     and the float error of the table products and the FFTs is of order
-    eps (p + log p^n) times the count mass sum|counts|.  In `complete_grid`
-    that mass is at most the number of cells times p (one weight per point,
-    a root count of at most p), so at most p^(n+1) <= cap, and the error
-    stays far below 1/2: np.rint recovers the integers.  A rounding residual
-    above 1e-3 raises AssertionError rather than returning wrong counts.
+    eps (p + log p^n) times the count mass sum|counts| of its fiber (no
+    fiber's arithmetic touches another's, so the bound holds fiber by
+    fiber).  In `complete_grid` that mass is at most the number of cells
+    times p (one weight per point, a root count of at most p), so at most
+    p^(n+1) <= cap, and the error stays far below 1/2: np.rint recovers the
+    integers.  A rounding residual above 1e-3 raises AssertionError rather
+    than returning wrong counts.
 
     The forward products read every row before the first output row is
     written, so the output is rounded straight into the input's buffer: a
@@ -409,8 +419,8 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
     the transform holds two count-sized arrays, not three.  Other inputs
     are copied to int64 first."""
     rows = np.ascontiguousarray(counts, dtype=np.int64).reshape(-1, p)
-    spectrum, total = _half_spectrum(rows, p, counts.ndim - 1, sign)
-    _round_counts(spectrum.reshape(p // 2, -1), total, p, rows)
+    spectrum, totals = _half_spectrum(rows, p, counts.ndim - 1, sign, params)
+    _round_counts(spectrum.reshape(p // 2, -1), totals, p, rows)
     return rows.reshape(counts.shape)
 
 
@@ -420,32 +430,36 @@ def _zeta_powers(p: int) -> np.ndarray:
     return np.ascontiguousarray(zeta_table(p)[st % p]).view(np.float64)
 
 
-def _half_spectrum(rows: np.ndarray, p: int, n: int, sign: int):
+def _half_spectrum(rows: np.ndarray, p: int, n: int, sign: int, params: int = 0):
     """`cyclo_dft` up to the rounding: count rows (p^n, p) to the permuted
-    spectrum, shape (p//2,) + (p,)*n, and the total count."""
+    spectrum, shape (p//2,) + (p,)*n, and the int64 total count of each
+    of the p^params fibers."""
     half, fwd = p // 2, _zeta_powers(p)
     spectrum = np.empty((half,) + (p,) * n, dtype=np.complex128)
     flat = spectrum.reshape(half, -1)
     for lo, hi in _row_blocks(len(rows), p):
         flat[:, lo:hi] = (rows[lo:hi] @ fwd).view(np.complex128).T
-    for axis in range(1, n + 1):
+    for axis in range(params + 1, n + 1):
         np.fft.ifft(spectrum, axis=axis, norm="forward", out=spectrum)
     for s in range(1, half + 1):
         c = s * sign % p
         if c != 1:
-            flat[s - 1] = flat[s - 1][_scaled_index(c, p, n)]
-    return spectrum, int(rows.sum())
+            flat[s - 1] = flat[s - 1][_scaled_index(c, p, n, params)]
+    return spectrum, rows.reshape(p ** params, -1).sum(axis=1)
 
 
-def _round_counts(flat: np.ndarray, total: int, p: int, rows: np.ndarray):
+def _round_counts(flat: np.ndarray, totals: np.ndarray, p: int, rows: np.ndarray):
     """The rest of `cyclo_dft`: a spectrum `flat` (p//2, p^n), any strides,
-    and the total count to int64 counts, rounded into rows (p^n, p)."""
+    and the fibers' total counts to int64 counts, rounded into rows (p^n, p)."""
     # Re(g conj(z)) = g.re z.re + g.im z.im, weight 2/p (1/p at s = p/2)
     back = _zeta_powers(p).T * ((1.0 if p == 2 else 2.0) / p)
-    mean = float(total) / p
+    means, fiber = totals / p, len(rows) // len(totals)
     for lo, hi in _row_blocks(len(rows), p):
         coef = np.ascontiguousarray(flat[:, lo:hi].T).view(np.float64) @ back
-        coef += mean
+        if lo // fiber == (hi - 1) // fiber:  # one fiber: a scalar add is faster
+            coef += means[lo // fiber]
+        else:
+            coef += means[np.arange(lo, hi) // fiber, None]
         exact = np.rint(coef)
         coef -= exact
         residual = float(np.abs(coef).max())
@@ -629,11 +643,15 @@ def _product_grid(spec: SumSpec, blocks: list[list[int]], p: int,
 
 
 def complete_grid(spec: SumSpec, p: int, sign: int = 1,
-                  cap: int = DEFAULT_GRID_CAP) -> SumGrid:
+                  cap: int = DEFAULT_GRID_CAP, params: int = 0) -> SumGrid:
     """All sums S(h) = sum_x t(x) psi(h.x) at once, as an n-dimensional
     transform of the pointwise trace values.  Base field only.  The cap
     bounds the largest array of the whole grid: the p^(n+1) zeta counts of
     an exact grid, the p^n values otherwise.
+
+    With params = k (exact specs only, never split) the first k variables a
+    are not transformed: the grid at (a, h) is S_a(h), the sum over the
+    fiber at a, every fiber in one `cyclo_dft` call.
 
     An exact grid scatters weight[x] to zeta power idx[x] of a count field
     and transforms it in place with `cyclo_dft`, or, if the spec factors
@@ -646,17 +664,22 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     n = spec.nvars
     if spec.linear_form is not None and any(spec.linear_form):
         raise ValueError("complete_grid sweeps all h; fix the spec's linear form to None")
+    if not 0 <= params <= n:
+        raise ValueError(f"params={params} outside 0..{n}")
+    if params and not spec.is_exact():
+        raise ValueError("complete_grid takes params only for exact specs")
     if spec.is_exact() and p ** (n + 1) > cap:
         raise CapExceeded(f"exact grid needs {p}^{n + 1} zeta counts, over cap {cap}")
     if p ** n > cap:
         raise CapExceeded(f"grid {p}^{n} exceeds cap {cap}")
-    blocks = _var_blocks(spec) if spec.is_exact() and p ** (n + 1) > _BLOCK else []
+    blocks = (_var_blocks(spec) if spec.is_exact() and not params
+              and p ** (n + 1) > _BLOCK else [])
     if len(blocks) > 1:
         return _product_grid(spec, blocks, p, sign)
     data = trace_function_grid(spec, p)
     if data[0] == "complex":
         return SumGrid(p=p, n=n, values=dft_grid(data[1], p, sign))
-    counts = cyclo_dft(_count_field(data[1], data[2], p), p, sign)
+    counts = cyclo_dft(_count_field(data[1], data[2], p), p, sign, params=params)
     values = _render(counts, p, canonical=True)
     return SumGrid(p=p, n=n, values=values, counts=counts)
 

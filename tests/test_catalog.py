@@ -25,8 +25,9 @@ from stratsums.catalog import (
 )
 from stratsums.cyclo import CycloValue
 from stratsums.errors import CapExceeded
-from stratsums.polyring import parse_poly
+from stratsums.polyring import AffineVariety, IntPolynomial, parse_poly
 from stratsums.strat import empirical_exponent_map
+from stratsums.sumengine import SumSpec, complete_grid
 
 
 # -- linear spaces -------------------------------------------------------------
@@ -262,6 +263,37 @@ def test_family_grid_cap_goes_through_complete_grid():
     with pytest.raises(CapExceeded, match="exact grid needs 5\\^4"):
         _family_delta_ft_grid(1, p, cap=p ** 4 - 1)
     assert _family_delta_ft_grid(1, p, cap=p ** 4).counts.shape == (p,) * 4
+
+
+def _fiber_grid(dvec, p):
+    """T(F_d, v; p) over v for one d on its own, as the family check once
+    built each fiber: the zero form sums over all of A^n."""
+    n = len(dvec)
+    terms = {tuple(2 * int(j == i) for j in range(n)): di
+             for i, di in enumerate(dvec) if di}
+    V = AffineVariety(n, [IntPolynomial(n, terms)]) if terms else None
+    return complete_grid(SumSpec(nvars=n, variety=V), p)
+
+
+def test_family_fibers_in_one_grid_match_grids_per_d(monkeypatch):
+    for n, p in [(1, 5), (1, 7), (2, 3), (2, 5), (3, 3)]:
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("params", 0))
+            return complete_grid(*args, **kwargs)
+
+        monkeypatch.setattr(catalog, "complete_grid", counted)
+        assert family_identity_check(n, p)[0], (n, p)
+        assert calls == [0, n], (n, p)  # the family grid, then every fiber
+        quadric = parse_poly(" + ".join(f"x{i + 1}*x{n + i + 1}^2" for i in range(n)),
+                             2 * n)
+        batched = complete_grid(SumSpec(nvars=2 * n, variety=AffineVariety(
+            2 * n, [quadric])), p, params=n)
+        for dvec in itertools.product(range(p), repeat=n):
+            alone = _fiber_grid(dvec, p)
+            assert np.array_equal(batched.counts[dvec], alone.counts), (n, p, dvec)
+            assert np.array_equal(batched.values[dvec], alone.values), (n, p, dvec)
 
 
 def _corrupt_family_grid(monkeypatch, cells):

@@ -286,6 +286,57 @@ def test_cyclo_dft_matches_integer_reference(monkeypatch):
                         assert np.array_equal(got, want), (p, n, hot, sign, block)
 
 
+def test_cyclo_dft_params_matches_stacked_fibers(monkeypatch):
+    # params=k transforms only the last n - k point axes: the same counts as
+    # cyclo_dft run on each parameter slice and stacked, on dense fields
+    rng = np.random.default_rng(25)
+    for p in (2, 3, 5, 7, 11):
+        for n in range(4):
+            for k in range(n + 1):
+                counts = rng.integers(-5, 6, size=(p,) * n + (p,))
+                fiber_rows = p ** (n - k)
+                for sign in (1, -1):
+                    want = np.stack([cyclo_dft(counts[a].copy(), p, sign)
+                                     for a in np.ndindex(*(p,) * k)])
+                    want = want.reshape(counts.shape)
+                    # the default row blocks, then blocks of one fiber plus
+                    # one row, so that every block edge cuts into a fiber
+                    for block in (sumengine._BLOCK, (fiber_rows + 1) * p):
+                        with monkeypatch.context() as m:
+                            m.setattr(sumengine, "_BLOCK", block)
+                            field = counts.copy()
+                            got = cyclo_dft(field, p, sign, params=k)
+                        assert np.shares_memory(got, field)  # in place
+                        assert np.array_equal(got, want), (p, n, k, sign, block)
+
+
+def test_complete_grid_params_input_checks(monkeypatch):
+    # params must lie in 0..n, needs an exact spec, keeps the whole grid's
+    # p^(n+1) zeta-count cap and never splits over variable blocks
+    exact = SumSpec(nvars=4, additive_phase=parse_poly("x1*x2 + x3*x4^2", 4))
+    for params in (-1, 5):
+        with pytest.raises(ValueError, match="params"):
+            complete_grid(exact, 3, params=params)
+    twisted = replace(exact, mult_twist=(parse_poly("x1 + 1", 4), 2, 1))
+    with pytest.raises(ValueError, match="exact"):
+        complete_grid(twisted, 3, params=1)
+    with pytest.raises(CapExceeded, match="3\\^5"):
+        complete_grid(exact, 3, cap=3 ** 5 - 1, params=2)
+
+    def no_split(*args):
+        raise AssertionError("a parameter grid was split")
+
+    monkeypatch.setattr(sumengine, "_product_grid", no_split)
+    monkeypatch.setattr(sumengine, "_BLOCK", SPLIT)
+    assert len(sumengine._var_blocks(exact)) == 2
+    grid = complete_grid(exact, 3, cap=3 ** 5, params=2)
+    # a fiber with x1 = a1, x2 = a2 is psi(a1 a2) times the (x3, x4) grid
+    whole = complete_grid(SumSpec(nvars=2, additive_phase=parse_poly("x1*x2^2", 2)),
+                          3)
+    for a in np.ndindex(3, 3):
+        assert np.array_equal(grid.counts[a], np.roll(whole.counts, a[0] * a[1], axis=-1))
+
+
 def test_cyclo_dft_refuses_rounding_residual(monkeypatch):
     ifft = np.fft.ifft
 
