@@ -456,10 +456,8 @@ def _round_counts(flat: np.ndarray, totals: np.ndarray, p: int, rows: np.ndarray
     means, fiber = totals / p, len(rows) // len(totals)
     for lo, hi in _row_blocks(len(rows), p):
         coef = np.ascontiguousarray(flat[:, lo:hi].T).view(np.float64) @ back
-        if lo // fiber == (hi - 1) // fiber:  # one fiber: a scalar add is faster
-            coef += means[lo // fiber]
-        else:
-            coef += means[np.arange(lo, hi) // fiber, None]
+        for f in range(lo // fiber, (hi - 1) // fiber + 1):  # a scalar add per fiber
+            coef[max(f * fiber - lo, 0):(f + 1) * fiber - lo] += means[f]
         exact = np.rint(coef)
         coef -= exact
         residual = float(np.abs(coef).max())
