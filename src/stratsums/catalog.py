@@ -418,10 +418,11 @@ def quadric_blocks(n_blocks: int) -> CatalogEntry:
 # -- the quadratic family in parameters ------------------------------------------------
 
 
-def _family_quadric(n: int, nvars: int, x_off: int) -> IntPolynomial:
-    """The family's variety sum_i a_i x_i^2: a_i is variable i, x_i is x_off + i."""
+def _family_variety(n: int, nvars: int, x_off: int) -> AffineVariety:
+    """The family's variety sum_i a_i x_i^2 = 0: a_i is variable i, x_i is x_off + i."""
     var = [IntPolynomial.variable(i, nvars) for i in range(nvars)]
-    return sum((var[i] * var[x_off + i] ** 2 for i in range(n)), IntPolynomial.zero(nvars))
+    quadric = sum((var[i] * var[x_off + i] ** 2 for i in range(n)), IntPolynomial.zero(nvars))
+    return AffineVariety(nvars, [quadric])
 
 
 def _family_delta_ft_grid(n: int, p: int, cap: int = DEFAULT_GRID_CAP) -> SumGrid:
@@ -429,9 +430,8 @@ def _family_delta_ft_grid(n: int, p: int, cap: int = DEFAULT_GRID_CAP) -> SumGri
     on A^{3n}, with dual coordinates (c, d, v)."""
     a = [IntPolynomial.variable(i, 3 * n) for i in range(n)]
     b = [IntPolynomial.variable(n + i, 3 * n) for i in range(n)]
-    quadric = _family_quadric(n, 3 * n, 2 * n)
     pairing = sum((a[i] * b[i] for i in range(n)), IntPolynomial.zero(3 * n))
-    spec = SumSpec(nvars=3 * n, variety=AffineVariety(3 * n, [quadric]),
+    spec = SumSpec(nvars=3 * n, variety=_family_variety(n, 3 * n, 2 * n),
                    additive_phase=-pairing)
     return complete_grid(spec, p, cap=cap)
 
@@ -449,8 +449,7 @@ def family_identity_check(n: int, p: int):
     r = d.c mod p at a time: the (c, d) rows with d.c = r against p^n times
     the fibers rolled by r."""
     grid = _family_delta_ft_grid(n, p)
-    quadric = _family_quadric(n, 2 * n, n)
-    fibers = complete_grid(SumSpec(nvars=2 * n, variety=AffineVariety(2 * n, [quadric])),
+    fibers = complete_grid(SumSpec(nvars=2 * n, variety=_family_variety(n, 2 * n, n)),
                            p, params=n).counts.reshape(p ** n, p ** n, p)
     cd = np.indices((p,) * (2 * n), dtype=np.int64)
     dc = sum(cd[i] * cd[n + i] for i in range(n)).reshape(p ** n, p ** n) % p
