@@ -15,7 +15,10 @@ serve as the other's oracle:
   grids directly (`dft_grid`), exact grids as zeta-count fields
   (`cyclo_dft`): a table product gives each row's values at the p-th
   roots of unity, in-place FFTs transform them over the point axes, and
-  the conjugate table with integer rounding gives the counts back.  An
+  the conjugate table with integer rounding gives the counts back.  A
+  phase-free field (a variety's indicator, root counts: every count at
+  zeta^0) skips the table product and is transformed once, its hyperplane
+  sections read at each zeta^s by a gather.  An
   exact sum that factors over disjoint variable blocks is the product of
   the blocks' transforms (`_product_grid`).  With `params=k` the first k
   point axes are family parameters: only the last n - k are transformed,
@@ -401,7 +404,14 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1, params: int = 0) -> np.
       by one flat index;
     * the coefficients come back as the conjugate table zeta^(-j s) with
       weight 2/p (1/p at s = p/2, so for p = 2), plus each row's own fiber
-      total/p, and are rounded block by block into the int64 output.
+      total/p, and are rounded block by block into the int64 output;
+    * phase-free: when no count lies off zeta^0 (a scan of the row blocks
+      that stops at the first one with such a count), row x is w(x) at
+      every zeta^s, and out[h, j] = sum over {x : sign h.x = j} of w(x),
+      the hyperplane-section counts.  By the Fourier slice theorem slice
+      s is then w's transform read at (s sign h) mod p: the table product
+      is skipped, w is transformed once as a (p,)*n array and each slice
+      is gathered from it by the same flat index.
 
     Rounding is exact: every output coefficient is a sum of input counts,
     and the float error of the table products and the FFTs is of order
@@ -410,7 +420,11 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1, params: int = 0) -> np.
     fiber).  In `complete_grid` that mass is at most the number of cells
     times p (one weight per point, a root count of at most p), so at most
     p^(n+1) <= cap, and the error stays far below 1/2: np.rint recovers the
-    integers.  A rounding residual above 1e-3 raises AssertionError rather
+    integers.  A phase-free field is held to the same bound with fewer
+    float operations: w enters one FFT exactly (the table product would
+    give it times zeta^0 = 1), and the gather moves values without
+    arithmetic: the spectrum holds the values the table-product route
+    computes.  A rounding residual above 1e-3 raises AssertionError rather
     than returning wrong counts.
 
     The forward products read every row before the first output row is
@@ -433,18 +447,29 @@ def _zeta_powers(p: int) -> np.ndarray:
 def _half_spectrum(rows: np.ndarray, p: int, n: int, sign: int, params: int = 0):
     """`cyclo_dft` up to the rounding: count rows (p^n, p) to the permuted
     spectrum, shape (p//2,) + (p,)*n, and the int64 total count of each
-    of the p^params fibers."""
-    half, fwd = p // 2, _zeta_powers(p)
+    of the p^params fibers.  A phase-free field (no count off zeta^0) has
+    the values w = rows[:, 0] at every zeta^s: w is transformed once, and
+    each slice is gathered from it."""
+    half = p // 2
     spectrum = np.empty((half,) + (p,) * n, dtype=np.complex128)
     flat = spectrum.reshape(half, -1)
-    for lo, hi in _row_blocks(len(rows), p):
-        flat[:, lo:hi] = (rows[lo:hi] @ fwd).view(np.complex128).T
-    for axis in range(params + 1, n + 1):
-        np.fft.ifft(spectrum, axis=axis, norm="forward", out=spectrum)
+    if any(rows[lo:hi, 1:].any() for lo, hi in _row_blocks(len(rows), p)):
+        fwd, w = _zeta_powers(p), None
+        for lo, hi in _row_blocks(len(rows), p):
+            flat[:, lo:hi] = (rows[lo:hi] @ fwd).view(np.complex128).T
+        field, lead = spectrum, 1
+    else:
+        w = rows[:, 0].astype(np.complex128)
+        field, lead = w.reshape((p,) * n), 0
+    for axis in range(params, n):
+        np.fft.ifft(field, axis=lead + axis, norm="forward", out=field)
     for s in range(1, half + 1):
         c = s * sign % p
         if c != 1:
-            flat[s - 1] = flat[s - 1][_scaled_index(c, p, n, params)]
+            source = flat[s - 1] if w is None else w
+            flat[s - 1] = source[_scaled_index(c, p, n, params)]
+        elif w is not None:
+            flat[s - 1] = w
     return spectrum, rows.reshape(p ** params, -1).sum(axis=1)
 
 

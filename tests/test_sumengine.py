@@ -262,16 +262,32 @@ def integer_cyclo_dft(counts, p, sign):
     return out
 
 
+def _phase_free_field(rng, shape, p):
+    """Random weights, negative ones too, all at zeta^0."""
+    counts = np.zeros(shape + (p,), dtype=np.int64)
+    counts[..., 0] = rng.integers(-5, 6, size=shape)
+    return counts
+
+
 def test_cyclo_dft_matches_integer_reference(monkeypatch):
     # p = 2 has the weight-1 slice s = p/2; p = 11, 13 have several slices
     rng = np.random.default_rng(24)
     for p in (2, 3, 5, 7, 11, 13):
         for n in (1, 2, 3) if p < 11 else (1, 2):
+            fields = {}
             for hot in (1, p):  # one-hot rows like a grid's, then full rows
                 counts = np.zeros((p,) * n + (p,), dtype=np.int64)
                 for x in np.ndindex(*(p,) * n):
                     cols = rng.choice(p, size=hot, replace=False)
                     counts[x + (cols,)] = rng.integers(-5, 6, size=hot)
+                fields[hot] = counts
+            # phase-free: every count at zeta^0, transformed once; then the
+            # same with one count off zeta^0 in the last row, so that the
+            # scan for one reads every row block and takes the phased path
+            fields["free"] = _phase_free_field(rng, (p,) * n, p)
+            fields["last"] = fields["free"].copy()
+            fields["last"].reshape(-1, p)[-1, rng.integers(1, p)] = rng.choice([-3, 2])
+            for hot, counts in fields.items():
                 for sign in (1, -1):
                     want = integer_cyclo_dft(counts, p, sign)
                     # the default row blocks, then blocks of 3 rows, so
@@ -289,15 +305,24 @@ def test_cyclo_dft_matches_integer_reference(monkeypatch):
 def test_cyclo_dft_params_matches_stacked_fibers(monkeypatch):
     # params=k transforms only the last n - k point axes: the same counts as
     # cyclo_dft run on each parameter slice and stacked, on dense fields
+    # and, on phase-free fields, the same as the integer reference on each
+    # parameter slice (a fiber with no point axis is its own transform)
     rng = np.random.default_rng(25)
     for p in (2, 3, 5, 7, 11):
         for n in range(4):
             for k in range(n + 1):
-                counts = rng.integers(-5, 6, size=(p,) * n + (p,))
+                dense = rng.integers(-5, 6, size=(p,) * n + (p,))
+                free = _phase_free_field(rng, (p,) * n, p)
                 fiber_rows = p ** (n - k)
-                for sign in (1, -1):
-                    want = np.stack([cyclo_dft(counts[a].copy(), p, sign)
-                                     for a in np.ndindex(*(p,) * k)])
+                for sign, counts in itertools.product((1, -1), (dense, free)):
+                    if counts is dense:
+                        want = np.stack([cyclo_dft(counts[a].copy(), p, sign)
+                                         for a in np.ndindex(*(p,) * k)])
+                    elif k < n:
+                        want = np.stack([integer_cyclo_dft(counts[a], p, sign)
+                                         for a in np.ndindex(*(p,) * k)])
+                    else:
+                        want = counts
                     want = want.reshape(counts.shape)
                     # the default row blocks, then blocks of one fiber plus
                     # one row, so that every block edge cuts into a fiber
@@ -346,10 +371,37 @@ def test_cyclo_dft_refuses_rounding_residual(monkeypatch):
         return out
 
     monkeypatch.setattr(np.fft, "ifft", ifft_off_by_03)
-    counts = np.zeros((5, 5, 5), dtype=np.int64)
-    counts[..., 0] = 1
-    with pytest.raises(AssertionError, match="residual"):
-        cyclo_dft(counts, 5)
+    for column in (0, 1):  # phase-free (one transform), then phased
+        counts = np.zeros((5, 5, 5), dtype=np.int64)
+        counts[..., column] = 1
+        with pytest.raises(AssertionError, match="residual"):
+            cyclo_dft(counts, 5)
+
+
+def test_cyclo_dft_transforms_phase_free_fields_once(monkeypatch):
+    # a phase-free field is transformed as one (p,)*n array over its last
+    # n - k axes; any count off zeta^0, even in the last row block alone,
+    # sends it through the (p//2,) + (p,)*n spectrum
+    ifft, calls = np.fft.ifft, []
+
+    def ifft_shapes(a, *args, **kwargs):
+        calls.append((a.shape, kwargs["axis"]))
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", ifft_shapes)
+    monkeypatch.setattr(sumengine, "_BLOCK", 3 * 5)
+    rng = np.random.default_rng(26)
+    free = _phase_free_field(rng, (5, 5, 5), 5)
+    last = free.copy()
+    last[-1, -1, -1, 4] = 1
+    for counts, k, want in [
+            (free, 0, [((5, 5, 5), 0), ((5, 5, 5), 1), ((5, 5, 5), 2)]),
+            (free, 2, [((5, 5, 5), 2)]),
+            (last, 0, [((2, 5, 5, 5), 1), ((2, 5, 5, 5), 2), ((2, 5, 5, 5), 3)]),
+            (last, 1, [((2, 5, 5, 5), 2), ((2, 5, 5, 5), 3)])]:
+        calls.clear()
+        cyclo_dft(counts.copy(), 5, params=k)
+        assert calls == want, (k, calls)
 
 
 def test_complete_grid_values_bit_equal_whole_render(monkeypatch, tmp_path):
@@ -413,10 +465,11 @@ def test_var_blocks_join_only_what_must_stay_together():
     assert blocks(2, "x1 + x2", trace_weight=("root_count", F)) == [[0, 1]]
 
 
-def _random_separable_spec(rng, p):
+def _random_separable_spec(rng, p, phased=True):
     # phase monomials on disjoint (often interleaved) variable groups, now
     # and then a generator on one group, constant terms, free variables and
-    # the torus
+    # the torus; unless phased, a variety-only spec: generators on groups
+    # and free variables, every block phase-free
     n = rng.randint(2, {2: 4, 3: 4, 5: 3, 7: 3, 11: 2, 13: 2}[p])
     label = [0, 1] + [rng.randrange(n) for _ in range(n - 2)]
     rng.shuffle(label)
@@ -431,12 +484,12 @@ def _random_separable_spec(rng, p):
             terms[tuple(exps)] = rng.randint(1, p + 1)
         return IntPolynomial(n, terms)
 
-    phase = IntPolynomial.constant(rng.randint(0, 3), n)
+    phase = IntPolynomial.constant(rng.randint(0, 3), n) if phased else None
     gens = []
     for group in groups:
-        if rng.random() < 0.8:  # otherwise the group's variables stay free
+        if phased and rng.random() < 0.8:  # otherwise the group's variables stay free
             phase = phase + poly(group, rng.randint(1, 2), 0)
-        if rng.random() < 0.3:
+        if rng.random() < (0.3 if phased else 0.7):
             gens.append(poly(group, rng.randint(1, 2), rng.randint(-2, 2)))
     return SumSpec(nvars=n, additive_phase=phase, torus=rng.random() < 0.3,
                    variety=AffineVariety(n, gens) if gens else None)
@@ -444,11 +497,13 @@ def _random_separable_spec(rng, p):
 
 def test_split_grid_matches_whole_transform(monkeypatch):
     # the product of block transforms against the whole field's transform:
-    # bit-equal counts and values
-    rng = random.Random(20261021)
+    # bit-equal counts and values, on phased specs and on variety-only ones
+    # (phase-free blocks and whole fields, each transformed once)
+    rng, free = random.Random(20261021), random.Random(20261019)
     for p in (2, 3, 5, 7, 11, 13):
-        for _ in range(6):
-            spec = _random_separable_spec(rng, p)
+        specs = [_random_separable_spec(rng, p) for _ in range(6)]
+        specs += [_random_separable_spec(free, p, phased=False) for _ in range(4)]
+        for spec in specs:
             assert len(sumengine._var_blocks(spec)) > 1, spec
             for sign in (1, -1):
                 grids = []
