@@ -185,9 +185,7 @@ def linear_space(n: int, basis: list) -> CatalogEntry:
     Nex = _minor_gcd(basis, n) * _minor_gcd(complement, n)
 
     def closed(p):
-        mask = np.ones((p,) * n, dtype=bool)
-        for b in basis:
-            mask &= poly_values_grid(_linear_form(b, n), p) == 0
+        mask = variety_mask(dual, p, n)
         return np.where(mask, float(p ** (n - 2)), 0.0).astype(np.complex128)
 
     return CatalogEntry(
@@ -371,12 +369,9 @@ def quadric_blocks(n_blocks: int) -> CatalogEntry:
     spec = SumSpec(nvars=ambient, variety=V)
 
     def masks(p):
-        block_zero = []
-        for g in gens:
-            block_zero.append(poly_values_grid(g, p) == 0)
         vanish = np.zeros((p,) * ambient, dtype=np.int64)
-        for bz in block_zero:
-            vanish += bz
+        for g in gens:
+            vanish += variety_mask(AffineVariety(ambient, [g]), p, ambient)
         out = []
         for k in range(1, n):
             out.append(vanish >= k)

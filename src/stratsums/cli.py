@@ -35,7 +35,7 @@ from .errors import (
 from .ffield import FieldCtx, is_prime
 from .polyring import AffineVariety, parse_poly
 from .spectral import extension_sum, extension_sums, fit_recurrence, weight_check
-from .strat import KLDatum, VarietyChain, verify_kl
+from .strat import _CONTAINMENT_CHECK_LIMIT, KLDatum, VarietyChain, verify_kl
 from .sumengine import SumSpec, complete_grid, eval_sum
 
 EXIT_OK = 0
@@ -161,7 +161,7 @@ def cmd_verify(args) -> int:
     chain = VarietyChain.load(args.chain, check_primes=())
     primes = _parse_primes(args.p)
     for p in primes:
-        if p ** chain.ambient <= 1 << 16:
+        if p ** chain.ambient <= _CONTAINMENT_CHECK_LIMIT:
             chain.check_containment(p)
     spec = _build_spec(args)
     if spec.nvars != chain.ambient:

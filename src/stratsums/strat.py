@@ -60,8 +60,14 @@ class VarietyChain:
                     f"stratum {j + 1} is not contained in stratum {j} over F_{p}")
 
     def masks(self, p: int) -> list[np.ndarray]:
-        """Boolean membership grids over F_p^ambient, one per stratum."""
-        return [variety_mask(V, p, self.ambient) for V in self.strata]
+        """Read-only boolean membership grids over F_p^ambient, one per
+        stratum; equal generator lists are evaluated once and share a grid."""
+        grids = {}
+        for V in self.strata:
+            if V.generators not in grids:
+                grids[V.generators] = variety_mask(V, p, self.ambient)
+                grids[V.generators].flags.writeable = False
+        return [grids[V.generators] for V in self.strata]
 
     def stratum_index(self, h, p: int) -> int:
         """Largest i with h in X_i(F_p), 0 when h avoids the whole chain."""
@@ -207,13 +213,11 @@ def verify_kl_masks(values: np.ndarray, masks: list[np.ndarray], p: int,
     ambient = values.ndim
     abs_vals = np.abs(values)
     idx = stratum_index_from_masks(masks, values.shape)
-    levels = [int(v) for v in np.unique(idx)]
+    counts = np.bincount(idx.reshape(-1), minlength=len(masks) + 1)
 
     def handle(i):
         sel = idx == i
-        count = int(sel.sum())
-        if count == 0:
-            return StratumRecord(i, 0, 0.0, 0.0, None), []
+        count = int(counts[i])
         vals = np.where(sel, abs_vals, -1.0)
         flat_arg = int(np.argmax(vals))
         witness = tuple(int(v) for v in np.unravel_index(flat_arg, values.shape))
@@ -228,7 +232,7 @@ def verify_kl_masks(values: np.ndarray, masks: list[np.ndarray], p: int,
                 viol.append((h, float(abs_vals[h]), float(bound)))
         return StratumRecord(i, count, max_abs, max_abs / scale, witness), viol
 
-    results = [handle(i) for i in levels]
+    results = [handle(int(i)) for i in np.flatnonzero(counts)]
     records = [r for r, _ in results]
     violations = [v for _, vs in results for v in vs]
     total = sum(r.count for r in records)

@@ -163,12 +163,15 @@ def poly_values_grid(f: IntPolynomial, p: int, side: int | None = None) -> np.nd
 
 
 def variety_mask(V: AffineVariety | None, p: int, nvars: int) -> np.ndarray:
-    """Boolean grid of F_p-points of V (all True for the full space)."""
-    mask = np.ones((p,) * nvars, dtype=bool)
-    if V is not None:
-        for g in V.generators:
-            mask &= poly_values_grid(g, p) == 0
-    return mask
+    """Boolean grid of F_p-points of V (all True for the full space).  Each
+    generator is evaluated on the (p,)^k grid of its k variables and ANDed
+    in by broadcasting; the mask spans (p,)*nvars only at the end."""
+    mask = np.ones((1,) * nvars, dtype=bool)
+    for g in V.generators if V is not None else ():
+        support = sorted(_support(g.terms))
+        zero = poly_values_grid(_restrict(g.terms.items(), support), p) == 0
+        mask = mask & zero.reshape([p if i in support else 1 for i in range(nvars)])
+    return np.broadcast_to(mask, (p,) * nvars).copy()
 
 
 def r_F(F: IntPolynomial, x, ctx: FieldCtx) -> int:
@@ -335,10 +338,15 @@ def eval_sum(spec: SumSpec, ctx: FieldCtx, h=None,
 
 def dft_grid(values: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
     """out[h] = sum_x values[x] e(sign * h.x / p) over the (p,)*n grid, by
-    numpy's FFT."""
-    if sign == 1:
-        return np.fft.ifftn(values, norm="forward")
-    return np.fft.fftn(values)
+    numpy's FFT: one complex copy of values, transformed in place one axis
+    at a time, last axis first (the order of `ifftn`/`fftn`)."""
+    out = np.array(values, dtype=np.complex128)
+    for axis in reversed(range(out.ndim)):
+        if sign == 1:
+            np.fft.ifft(out, axis=axis, norm="forward", out=out)
+        else:
+            np.fft.fft(out, axis=axis, out=out)
+    return out
 
 
 _BLOCK = 1 << 16  # zeta cells (rows x p) per row block of an exact grid
@@ -598,6 +606,13 @@ def _support(monomials) -> set:
     return {i for e in monomials for i, k in enumerate(e) if k}
 
 
+def _restrict(terms, block) -> IntPolynomial:
+    """The polynomial of the (exponents, coefficient) terms in the variables
+    of `block` only."""
+    return IntPolynomial(len(block), {tuple(e[i] for i in block): c
+                                      for e, c in terms})
+
+
 def _var_blocks(spec: SumSpec) -> list[list[int]]:
     """The variable blocks over which the sum factors, ordered by first
     variable.  Variables share a block when they share a phase monomial, a
@@ -624,17 +639,13 @@ def _block_spec(spec: SumSpec, block: list[int], first: bool) -> SumSpec:
         support = _support(monomials)
         return support <= set(block) and (first or bool(support))
 
-    def restrict(terms):
-        return IntPolynomial(len(block), {tuple(e[i] for i in block): c
-                                          for e, c in terms})
-
     gens = spec.variety.generators if spec.variety is not None else ()
-    gens = [restrict(g.terms.items()) for g in gens if mine(g.terms)]
+    gens = [_restrict(g.terms.items(), block) for g in gens if mine(g.terms)]
     phase = spec.additive_phase.terms if spec.additive_phase is not None else {}
     return SumSpec(nvars=len(block), torus=spec.torus,
                    variety=AffineVariety(len(block), gens) if gens else None,
-                   additive_phase=restrict((e, c) for e, c in phase.items()
-                                           if mine([e])))
+                   additive_phase=_restrict(((e, c) for e, c in phase.items()
+                                             if mine([e])), block))
 
 
 def _count_field(weight: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from stratsums import strat
+from stratsums.catalog import build_entry
 from stratsums.errors import ChainContainmentError
 from stratsums.ffield import FieldCtx
 from stratsums.polyring import AffineVariety, IntPolynomial, parse_poly, poly_to_string
 from stratsums.strat import (
     KLDatum,
+    StratumRecord,
     VarietyChain,
     codim_shadow_check,
     dual_points_mask,
@@ -21,9 +23,11 @@ from stratsums.strat import (
     empirical_exponent_map,
     exponent_histogram,
     smoothness_check,
+    stratum_index_from_masks,
     verify_kl,
+    verify_kl_masks,
 )
-from stratsums.sumengine import SumGrid, SumSpec, complete_grid
+from stratsums.sumengine import SumGrid, SumSpec, complete_grid, variety_mask
 
 
 def linear_chain(n):
@@ -111,6 +115,86 @@ def test_witnesses_achieve_min_C():
             val = abs(grid.value_at(rec.witness))
             assert math.isclose(val / grid.p ** ((report.d + rec.index) / 2),
                                 rec.min_C, rel_tol=1e-12)
+
+
+def test_chain_masks_evaluate_equal_strata_once(monkeypatch):
+    calls = []
+
+    def counting(V, p, nvars):
+        calls.append(V.generators)
+        return variety_mask(V, p, nvars)
+
+    blocks = build_entry("quadric_blocks", {"n_blocks": 2}).chain
+    diag = build_entry("diagonal_quadratic", {"n": 4, "coeffs": [1, 2, 3, 5]}).chain
+    # a chain file holds equal strata as separate objects
+    loaded = VarietyChain.from_json_dict(
+        json.loads(json.dumps(diag.to_json_dict())), check_primes=())
+    assert loaded.strata[1] is not loaded.strata[2]
+    monkeypatch.setattr(strat, "variety_mask", counting)
+    for chain, p, distinct in ((blocks, 3, 3), (loaded, 5, 2)):
+        calls.clear()
+        masks = chain.masks(p)
+        assert len(calls) == len(set(calls)) == distinct
+        for i, (V, mask) in enumerate(zip(chain.strata, masks)):
+            assert np.array_equal(mask, variety_mask(V, p, chain.ambient))
+            for W, other in zip(chain.strata[:i], masks[:i]):
+                assert (other is mask) == (W.generators == V.generators)
+
+
+def test_shared_masks_are_read_only_for_every_consumer():
+    # equal strata share one grid, so no consumer may write into a mask;
+    # writes would raise, and each consumer must still run
+    entry = build_entry("quadric_blocks", {"n_blocks": 2})
+    chain, p = entry.chain, 3
+    masks = chain.masks(p)
+    assert all(not m.flags.writeable for m in masks)
+    with pytest.raises(ValueError):
+        masks[1][(0,) * chain.ambient] = False
+    before = [m.copy() for m in masks]
+    chain.check_containment(p)
+    chain.stratum_index_grid(p)
+    codim_shadow_check(chain, p)
+    verify_kl(KLDatum(chain=chain, N=2, C=entry.C, d=entry.d), entry.grid(p))
+    entry.verify(p)
+    assert all(np.array_equal(m, b) for m, b in zip(chain.masks(p), before))
+
+
+def _unique_reference(values, masks, p, C, d, slack=1e-6):
+    """Records and violations by np.unique and one selection sum per level."""
+    abs_vals = np.abs(values)
+    idx = stratum_index_from_masks(masks, values.shape)
+    records, violations = [], []
+    for i in (int(v) for v in np.unique(idx)):
+        sel = idx == i
+        flat_arg = int(np.argmax(np.where(sel, abs_vals, -1.0)))
+        witness = tuple(int(v) for v in np.unravel_index(flat_arg, values.shape))
+        max_abs, scale = float(abs_vals[witness]), p ** ((d + i) / 2)
+        bound = C * scale + slack * scale
+        records.append(StratumRecord(i, int(sel.sum()), max_abs, max_abs / scale,
+                                     witness))
+        violations += [(tuple(int(v) for v in h), float(abs_vals[tuple(h)]),
+                        float(bound)) for h in np.argwhere(sel & (abs_vals > bound))]
+    return records, violations
+
+
+def test_verify_kl_masks_matches_unique_reference():
+    rng = np.random.default_rng(28)
+    for p, n in [(3, 2), (5, 2), (7, 2), (5, 3)]:
+        shape = (p,) * n
+        # few magnitudes, so the maximum of a stratum is tied and the
+        # witness must be the first flat argmax
+        values = rng.integers(0, 4, shape) * np.exp(2j * np.pi * rng.random(shape))
+        first = rng.random(shape) < 0.6
+        masks = [first, first & (rng.random(shape) < 0.5),
+                 np.zeros(shape, dtype=bool),  # empty at p
+                 first & (rng.random(shape) < 0.2)]
+        for C, d in [(0.5, 0), (2.0, 1), (100.0, 2)]:
+            report = verify_kl_masks(values, masks, p, C, d)
+            records, violations = _unique_reference(values, masks, p, C, d)
+            assert report.records == records
+            assert report.violations == violations
+            assert report.passed == (not violations)
+            assert 3 not in [r.index for r in report.records]
 
 
 def test_exponent_map_linear_space():

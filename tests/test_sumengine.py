@@ -29,6 +29,7 @@ from stratsums.sumengine import (
     power_sum_identity_check,
     r_F,
     trace_function_grid,
+    variety_mask,
 )
 
 
@@ -92,6 +93,38 @@ def test_poly_values_grid_reduces_before_int64_overflow():
     grid = poly_values_grid(f, p, side)
     for x in np.ndindex(*grid.shape):
         assert grid[x] == f.eval_mod_p_int(x, p)
+
+
+def test_variety_mask_matches_full_grid_evaluation():
+    # each generator is evaluated on its own variables and broadcast; the
+    # result must be the AND of full-grid evaluations, also for constant
+    # generators, the full and empty varieties and no variety at all
+    rng = random.Random(26)
+    mixed = 0
+    for p in (2, 3, 5, 7):
+        for n in range(1, 5):
+            varieties = [None, AffineVariety.full(n), AffineVariety.empty(n),
+                         AffineVariety(n, [IntPolynomial.zero(n)]),
+                         AffineVariety(n, [IntPolynomial.constant(3 * p, n)]),
+                         AffineVariety(n, [IntPolynomial.constant(p + 1, n)])]
+            for _ in range(8):
+                gens = []
+                for _ in range(rng.randint(1, 3)):
+                    support = rng.sample(range(n), rng.randint(1, n))
+                    gens.append(IntPolynomial(n, {
+                        tuple(rng.randrange(4) if i in support else 0
+                              for i in range(n)): rng.randrange(-9, 10)
+                        for _ in range(rng.randint(1, 4))}))
+                varieties.append(AffineVariety(n, gens))
+            for V in varieties:
+                want = np.ones((p,) * n, dtype=bool)
+                for g in V.generators if V is not None else ():
+                    want &= poly_values_grid(g, p) == 0
+                got = variety_mask(V, p, n)
+                assert got.shape == (p,) * n and got.dtype == bool
+                assert np.array_equal(got, want), (p, n, V)
+                mixed += bool(want.any() and not want.all())
+    assert mixed > 20  # the random varieties cut out proper subsets
 
 
 # -- single sums -------------------------------------------------------------------
@@ -233,6 +266,20 @@ def test_dft_grid_matches_brute_force_oracle():
     got = dft_grid(vals, p)
     want = brute_dft(vals, p)
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_dft_grid_bit_equals_nd_transform_and_keeps_its_input():
+    rng = np.random.default_rng(27)
+    for p, n in [(5, 1), (7, 2), (5, 3), (3, 4)]:
+        for vals in (rng.normal(size=(p,) * n),
+                     rng.normal(size=(p,) * n) + 1j * rng.normal(size=(p,) * n)):
+            before = vals.copy()
+            for sign, want in ((1, np.fft.ifftn(vals, norm="forward")),
+                               (-1, np.fft.fftn(vals))):
+                got = dft_grid(vals, p, sign)
+                assert got.dtype == np.complex128
+                assert np.array_equal(got.view(np.float64), want.view(np.float64))
+            assert np.array_equal(vals, before)
 
 
 def test_cyclo_dft_matches_complex_dft():
