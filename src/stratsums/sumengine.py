@@ -12,13 +12,12 @@ serve as the other's oracle:
   each call folds its h in through the coordinate traces;
 * `complete_grid` transforms the kernel's pointwise data at m = 1
   (`trace_function_grid`) with numpy's FFT over the n point axes: complex
-  grids directly (`dft_grid`), exact grids as zeta-count fields
-  (`cyclo_dft`): a table product gives each row's values at the p-th
-  roots of unity, in-place FFTs transform them over the point axes, and
-  the conjugate table with integer rounding gives the counts back.  A
-  phase-free field (a variety's indicator, root counts: every count at
-  zeta^0) skips the table product and is transformed once, its hyperplane
-  sections read at each zeta^s by a gather.  An
+  grids directly (`dft_grid`), exact grids through their values at the
+  roots of unity zeta^s, rounded back to counts.  Where scaling the points
+  maps weight[x] zeta^idx[x] to itself up to s -> s t on zeta (a phase-free
+  field, a homogeneous phase on a cone: `_scaling`), one field per orbit
+  of s is transformed (`_orbit_spectrum`); other fields go through
+  `cyclo_dft`, the generic zeta-count transform and the reference.  An
   exact sum that factors over disjoint variable blocks is the product of
   the blocks' transforms (`_product_grid`).  With `params=k` the first k
   point axes are family parameters: only the last n - k are transformed,
@@ -412,14 +411,7 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1, params: int = 0) -> np.
       by one flat index;
     * the coefficients come back as the conjugate table zeta^(-j s) with
       weight 2/p (1/p at s = p/2, so for p = 2), plus each row's own fiber
-      total/p, and are rounded block by block into the int64 output;
-    * phase-free: when no count lies off zeta^0 (a scan of the row blocks
-      that stops at the first one with such a count), row x is w(x) at
-      every zeta^s, and out[h, j] = sum over {x : sign h.x = j} of w(x),
-      the hyperplane-section counts.  By the Fourier slice theorem slice
-      s is then w's transform read at (s sign h) mod p: the table product
-      is skipped, w is transformed once as a (p,)*n array and each slice
-      is gathered from it by the same flat index.
+      total/p, and are rounded block by block into the int64 output.
 
     Rounding is exact: every output coefficient is a sum of input counts,
     and the float error of the table products and the FFTs is of order
@@ -428,12 +420,11 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1, params: int = 0) -> np.
     fiber).  In `complete_grid` that mass is at most the number of cells
     times p (one weight per point, a root count of at most p), so at most
     p^(n+1) <= cap, and the error stays far below 1/2: np.rint recovers the
-    integers.  A phase-free field is held to the same bound with fewer
-    float operations: w enters one FFT exactly (the table product would
-    give it times zeta^0 = 1), and the gather moves values without
-    arithmetic: the spectrum holds the values the table-product route
-    computes.  A rounding residual above 1e-3 raises AssertionError rather
-    than returning wrong counts.
+    integers.  `complete_grid`'s orbit transform (`_orbit_spectrum`), for
+    which this is the reference, rounds the same spectrum within the same
+    bound: each value is a gathered or conjugated value of one FFT of a
+    field weight zeta^(r idx) of the same count mass.  A rounding residual
+    above 1e-3 raises AssertionError rather than returning wrong counts.
 
     The forward products read every row before the first output row is
     written, so the output is rounded straight into the input's buffer: a
@@ -455,30 +446,76 @@ def _zeta_powers(p: int) -> np.ndarray:
 def _half_spectrum(rows: np.ndarray, p: int, n: int, sign: int, params: int = 0):
     """`cyclo_dft` up to the rounding: count rows (p^n, p) to the permuted
     spectrum, shape (p//2,) + (p,)*n, and the int64 total count of each
-    of the p^params fibers.  A phase-free field (no count off zeta^0) has
-    the values w = rows[:, 0] at every zeta^s: w is transformed once, and
-    each slice is gathered from it."""
+    of the p^params fibers."""
     half = p // 2
     spectrum = np.empty((half,) + (p,) * n, dtype=np.complex128)
-    flat = spectrum.reshape(half, -1)
-    if any(rows[lo:hi, 1:].any() for lo, hi in _row_blocks(len(rows), p)):
-        fwd, w = _zeta_powers(p), None
-        for lo, hi in _row_blocks(len(rows), p):
-            flat[:, lo:hi] = (rows[lo:hi] @ fwd).view(np.complex128).T
-        field, lead = spectrum, 1
-    else:
-        w = rows[:, 0].astype(np.complex128)
-        field, lead = w.reshape((p,) * n), 0
+    flat, fwd = spectrum.reshape(half, -1), _zeta_powers(p)
+    for lo, hi in _row_blocks(len(rows), p):
+        flat[:, lo:hi] = (rows[lo:hi] @ fwd).view(np.complex128).T
     for axis in range(params, n):
-        np.fft.ifft(field, axis=lead + axis, norm="forward", out=field)
-    for s in range(1, half + 1):
-        c = s * sign % p
-        if c != 1:
-            source = flat[s - 1] if w is None else w
-            flat[s - 1] = source[_scaled_index(c, p, n, params)]
-        elif w is not None:
-            flat[s - 1] = w
+        np.fft.ifft(spectrum, axis=1 + axis, norm="forward", out=spectrum)
+    _gather(flat, [(s, s, s * sign, False) for s in range(1, half + 1)], p, n, params)
     return spectrum, rows.reshape(p ** params, -1).sum(axis=1)
+
+
+def _gather(flat: np.ndarray, plan, p: int, n: int, params: int):
+    """flat[slot - 1] = flat[source - 1] read at (c h) mod p on the last
+    n - params axes, conjugated if conj, for each plan entry in order."""
+    for slot, source, c, conj in plan:
+        if c % p != 1 or source != slot or conj:
+            np.take(flat[source - 1], _scaled_index(c % p, p, n, params),
+                    out=flat[slot - 1])
+            if conj:
+                np.conjugate(flat[slot - 1], out=flat[slot - 1])
+
+
+def _scaling(weight: np.ndarray, idx: np.ndarray, p: int, params: int = 0):
+    """(g, t) with weight(g x) = weight(x) and idx(g x) = t idx(x) mod p
+    where weight(x) != 0, g scaling the last n - params axes; or None.
+    Phase-free (idx in [0, p) is 0 where weight != 0): (1, generator); else
+    g is the generator and t, read off one point, is checked at every one."""
+    gen, n = FieldCtx(p).generator.rank, idx.ndim
+    weight, idx = weight.reshape(-1), idx.reshape(-1)
+    live = weight != 0
+    phased = live & (idx != 0)
+    at = int(np.argmax(phased))
+    if not phased[at]:
+        return 1, gen
+    scaled = _scaled_index(gen, p, n, params)
+    idx_g = idx[scaled]
+    t = int(idx_g[at]) * pow(int(idx[at]), -1, p) % p
+    if not np.array_equal(weight[scaled], weight) or \
+            (live & (idx_g != (t * np.arange(p) % p)[idx])).any():
+        return None
+    return gen, t
+
+
+def _orbit_spectrum(weight: np.ndarray, idx: np.ndarray, p: int, sign: int, params: int = 0):
+    """`_half_spectrum` of the field weight[x] at zeta^idx[x] by orbits, or
+    None if `_scaling` finds no symmetry.  With F_u the transform of
+    weight zeta^(u idx), (g, t) gives F_u(k) = F_r(g^m k) for u = r t^(-m),
+    and F_(p-u)(k) = conj(F_u(-k)).  Each orbit's representative r <= p//2
+    is a table lookup transformed in its own slot, which the orbit's slots
+    s = u or p - u (conjugated) read at (g^m u sign h) mod p."""
+    if (scaling := _scaling(weight, idx, p, params)) is None:
+        return None
+    (g, t), n, half = scaling, idx.ndim, p // 2
+    spectrum = np.empty((half,) + (p,) * n, dtype=np.complex128)
+    plan = {}  # slot -> (slot, representative r, c, conj)
+    for r in range(1, half + 1):
+        if r in plan:
+            continue
+        np.multiply(zeta_table(p)[r * idx % p], weight, out=spectrum[r - 1])
+        for axis in range(params, n):
+            np.fft.ifft(spectrum[r - 1], axis=axis, norm="forward", out=spectrum[r - 1])
+        for m in range(p - 1):  # u = r t^(-m) until its slot repeats
+            u = r * pow(t, -m, p) % p
+            if (slot := min(u, p - u)) in plan:
+                break
+            plan[slot] = (slot, r, pow(g, m, p) * u * sign, u > half)
+    _gather(spectrum.reshape(half, -1),  # representatives' own slots last
+            sorted(plan.values(), key=lambda e: e[0] == e[1]), p, n, params)
+    return spectrum, weight.reshape(p ** params, -1).sum(axis=1)
 
 
 def _round_counts(flat: np.ndarray, totals: np.ndarray, p: int, rows: np.ndarray):
@@ -663,8 +700,8 @@ def _product_grid(spec: SumSpec, blocks: list[list[int]], p: int,
     parts, total = [], 1
     for k, block in enumerate(blocks):
         _, weight, idx = trace_function_grid(_block_spec(spec, block, k == 0), p)
-        part, count = _half_spectrum(_count_field(weight, idx, p).reshape(-1, p),
-                                     p, len(block), sign)
+        part, count = _orbit_spectrum(weight, idx, p, sign) or _half_spectrum(
+            _count_field(weight, idx, p).reshape(-1, p), p, len(block), sign)
         shape = [p if i in block else 1 for i in range(n)] + [half]
         parts.append(np.moveaxis(part, 0, -1).reshape(shape))
         total *= count
@@ -687,14 +724,16 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     are not transformed: the grid at (a, h) is S_a(h), the sum over the
     fiber at a, every fiber in one `cyclo_dft` call.
 
-    An exact grid scatters weight[x] to zeta power idx[x] of a count field
-    and transforms it in place with `cyclo_dft`, or, if the spec factors
-    over variable blocks (`_var_blocks`) and p^(n+1) > _BLOCK, multiplies
-    the blocks' spectra (`_product_grid`): block count masses multiply to
-    the whole field's, so the rounding bound holds.  Either way it peaks
-    at two count fields; over the same row blocks (`_render`) each cell is
-    put in canonical form (min coefficient 0, so exact zeros render as 0)
-    and rendered."""
+    An exact grid with a scaling symmetry (`_scaling`) transforms one field
+    per orbit of zeta powers (`_orbit_spectrum`) into a new count array;
+    any other scatters weight[x] to zeta power idx[x] of a count field and
+    transforms it in place with `cyclo_dft`.  If the spec factors over
+    variable blocks (`_var_blocks`) and p^(n+1) > _BLOCK, it multiplies the
+    blocks' spectra, each built the same way (`_product_grid`): block count
+    masses multiply to the whole field's, so the rounding bound holds.
+    Either way it peaks at two count fields; over the same row blocks
+    (`_render`) each cell is put in canonical form (min coefficient 0, so
+    exact zeros render as 0) and rendered."""
     n = spec.nvars
     if spec.linear_form is not None and any(spec.linear_form):
         raise ValueError("complete_grid sweeps all h; fix the spec's linear form to None")
@@ -713,7 +752,13 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     data = trace_function_grid(spec, p)
     if data[0] == "complex":
         return SumGrid(p=p, n=n, values=dft_grid(data[1], p, sign))
-    counts = cyclo_dft(_count_field(data[1], data[2], p), p, sign, params=params)
+    built = _orbit_spectrum(data[1], data[2], p, sign, params)
+    if built is None:
+        counts = cyclo_dft(_count_field(data[1], data[2], p), p, sign, params=params)
+    else:  # the spectrum is freed before the render
+        counts = np.empty((p,) * n + (p,), dtype=np.int64)
+        _round_counts(built[0].reshape(p // 2, -1), built[1], p, counts.reshape(-1, p))
+        del built
     values = _render(counts, p, canonical=True)
     return SumGrid(p=p, n=n, values=values, counts=counts)
 

@@ -328,9 +328,8 @@ def test_cyclo_dft_matches_integer_reference(monkeypatch):
                     cols = rng.choice(p, size=hot, replace=False)
                     counts[x + (cols,)] = rng.integers(-5, 6, size=hot)
                 fields[hot] = counts
-            # phase-free: every count at zeta^0, transformed once; then the
-            # same with one count off zeta^0 in the last row, so that the
-            # scan for one reads every row block and takes the phased path
+            # phase-free: every count at zeta^0; then the same with one
+            # count off zeta^0 in the last row
             fields["free"] = _phase_free_field(rng, (p,) * n, p)
             fields["last"] = fields["free"].copy()
             fields["last"].reshape(-1, p)[-1, rng.integers(1, p)] = rng.choice([-3, 2])
@@ -418,37 +417,190 @@ def test_cyclo_dft_refuses_rounding_residual(monkeypatch):
         return out
 
     monkeypatch.setattr(np.fft, "ifft", ifft_off_by_03)
-    for column in (0, 1):  # phase-free (one transform), then phased
+    for column in (0, 1):  # phase-free, then phased: both by table products
         counts = np.zeros((5, 5, 5), dtype=np.int64)
         counts[..., column] = 1
         with pytest.raises(AssertionError, match="residual"):
             cyclo_dft(counts, 5)
 
 
-def test_cyclo_dft_transforms_phase_free_fields_once(monkeypatch):
-    # a phase-free field is transformed as one (p,)*n array over its last
-    # n - k axes; any count off zeta^0, even in the last row block alone,
-    # sends it through the (p//2,) + (p,)*n spectrum
-    ifft, calls = np.fft.ifft, []
+def _reference_grid(spec, p, sign=1, params=0):
+    """complete_grid's counts and values through the count field and
+    cyclo_dft, whatever symmetry the field has."""
+    _, weight, idx = trace_function_grid(spec, p)
+    counts = cyclo_dft(sumengine._count_field(weight, idx, p), p, sign, params=params)
+    return counts, sumengine._render(counts, p, canonical=True)
+
+
+def _homogeneous(rng, n, d, first=0):
+    """A random form of degree d in the variables first..n-1 of A^n."""
+    k = n - first
+    exps = [e for e in itertools.product(range(d + 1), repeat=k) if sum(e) == d]
+    chosen = rng.sample(exps, min(len(exps), rng.randint(1, 3)))
+    return IntPolynomial(n, {(0,) * first + e: rng.choice([-3, -1, 1, 2, 5])
+                             for e in chosen})
+
+
+def _symmetric_specs(rng, p):
+    """Specs whose exact grids `_scaling` finds a symmetry in: homogeneous
+    phases alone, on cones and on the torus, varieties and root counts."""
+    specs = []
+    for n in (1, 2, 3):
+        for d in (1, 2, 3, 4):
+            specs.append(SumSpec(nvars=n, additive_phase=_homogeneous(rng, n, d)))
+        cone = AffineVariety(n, [_homogeneous(rng, n, rng.randint(1, 3))])
+        specs.append(SumSpec(nvars=n, variety=cone,
+                             additive_phase=_homogeneous(rng, n, rng.randint(1, 4))))
+        specs.append(SumSpec(nvars=n, torus=True,
+                             additive_phase=_homogeneous(rng, n, rng.randint(1, 4))))
+        shifted = _homogeneous(rng, n, 2) + IntPolynomial.constant(rng.randint(1, 4), n)
+        specs.append(SumSpec(nvars=n, variety=AffineVariety(n, [shifted])))
+    y_first = _homogeneous(rng, 3, 2) + IntPolynomial.variable(1, 3) + \
+        IntPolynomial.constant(rng.randint(-2, 2), 3)
+    specs.append(SumSpec(nvars=2, trace_weight=("root_count", y_first)))
+    return specs
+
+
+def _control_specs(rng, p):
+    """Specs without the symmetry, in general: phases with mixed degrees or
+    a constant term, homogeneous phases off cones, a Kloosterman phase."""
+    specs = [SumSpec(nvars=1, trace_weight=("kloosterman_phase", rng.randint(1, p - 1)))]
+    for n in (1, 2, 3):
+        mixed = _homogeneous(rng, n, 2) + _homogeneous(rng, n, 1)
+        specs.append(SumSpec(nvars=n, additive_phase=mixed))
+        specs.append(SumSpec(nvars=n, additive_phase=_homogeneous(rng, n, 3)
+                             + IntPolynomial.constant(1, n)))
+        sphere = _homogeneous(rng, n, 2) - IntPolynomial.constant(1, n)
+        specs.append(SumSpec(nvars=n, variety=AffineVariety(n, [sphere]),
+                             additive_phase=_homogeneous(rng, n, 1)))
+    return specs
+
+
+def test_complete_grid_matches_count_field_transform(monkeypatch):
+    # complete_grid transforms one field per orbit of zeta powers where
+    # `_scaling` finds a symmetry; counts and values must be bit-equal to
+    # cyclo_dft of the count field, on symmetric specs (which must take the
+    # orbit path), on controls, on parameter fibers and on split grids
+    rng = random.Random(20261019)
+    orbit = 0
+    for p in (3, 5, 7, 11, 13, 17):
+        cases = [(spec, 0, True) for spec in _symmetric_specs(rng, p)]
+        cases += [(spec, 0, False) for spec in _control_specs(rng, p)]
+        for n, k in ((2, 1), (3, 1), (3, 2)):  # fibers over the first k variables
+            fiber_phase = _homogeneous(rng, n, rng.randint(1, 3), first=k) * (
+                IntPolynomial.variable(0, n) + IntPolynomial.constant(rng.randint(0, 2), n))
+            base = _homogeneous(rng, n, 2, first=k) * IntPolynomial.variable(0, n) - \
+                IntPolynomial.variable(k - 1, n)
+            cases.append((SumSpec(nvars=n, additive_phase=fiber_phase), k, True))
+            cases.append((SumSpec(nvars=n, variety=AffineVariety(n, [base])), k, True))
+        for spec, k, symmetric in cases:
+            _, weight, idx = trace_function_grid(spec, p)
+            found = sumengine._scaling(weight, idx, p, k) is not None
+            assert found or not symmetric, (spec, p, k)
+            orbit += found
+            for sign in (1, -1):
+                counts, values = _reference_grid(spec, p, sign, k)
+                grid = complete_grid(spec, p, sign, params=k)
+                assert np.array_equal(grid.counts, counts), (spec, p, k, sign)
+                assert np.array_equal(grid.values, values), (spec, p, k, sign)
+    assert orbit > 150
+    # split grids: every block through the same dispatch
+    monkeypatch.setattr(sumengine, "_BLOCK", SPLIT)
+    for p in (3, 5, 7, 11, 13):
+        split = [SumSpec(nvars=2, additive_phase=parse_poly("x1^2 + 3*x2^3", 2)),
+                 SumSpec(nvars=3, additive_phase=parse_poly("x1*x2 + x3^2", 3)),
+                 SumSpec(nvars=3, variety=AffineVariety(3, [parse_poly("x1^2 - 2*x2^2", 3)]),
+                         additive_phase=parse_poly("x3 + 1", 3)),
+                 SumSpec(nvars=3, torus=True, additive_phase=parse_poly("x1 + x2^2 - x3^3", 3))]
+        for spec in split:
+            assert len(sumengine._var_blocks(spec)) > 1
+            for sign in (1, -1):
+                with monkeypatch.context() as m:
+                    m.setattr(sumengine, "_BLOCK", WHOLE)
+                    counts, values = _reference_grid(spec, p, sign)
+                grid = complete_grid(spec, p, sign)
+                assert np.array_equal(grid.counts, counts), (spec, p, sign)
+                assert np.array_equal(grid.values, values), (spec, p, sign)
+
+
+def test_complete_grid_transforms_one_field_per_orbit(monkeypatch):
+    # a cubic at p = 13 has 3 orbits of zeta powers s, -s under s -> g^3 s;
+    # a phase-free field is one orbit, also over the last n - k axes; the
+    # mixed-degree x1^2 + x2 goes through cyclo_dft and its whole spectrum
+    ifft, calls, dft_calls = np.fft.ifft, [], []
 
     def ifft_shapes(a, *args, **kwargs):
         calls.append((a.shape, kwargs["axis"]))
         return ifft(a, *args, **kwargs)
 
+    def counting_cyclo_dft(counts, *args, **kwargs):
+        dft_calls.append(counts.shape)
+        return cyclo_dft(counts, *args, **kwargs)
+
     monkeypatch.setattr(np.fft, "ifft", ifft_shapes)
-    monkeypatch.setattr(sumengine, "_BLOCK", 3 * 5)
-    rng = np.random.default_rng(26)
-    free = _phase_free_field(rng, (5, 5, 5), 5)
-    last = free.copy()
-    last[-1, -1, -1, 4] = 1
-    for counts, k, want in [
-            (free, 0, [((5, 5, 5), 0), ((5, 5, 5), 1), ((5, 5, 5), 2)]),
-            (free, 2, [((5, 5, 5), 2)]),
-            (last, 0, [((2, 5, 5, 5), 1), ((2, 5, 5, 5), 2), ((2, 5, 5, 5), 3)]),
-            (last, 1, [((2, 5, 5, 5), 2), ((2, 5, 5, 5), 3)])]:
+    monkeypatch.setattr(sumengine, "cyclo_dft", counting_cyclo_dft)
+    cubic = SumSpec(nvars=2, additive_phase=parse_poly("x1^3 + x1*x2^2", 2))
+    quadric = SumSpec(nvars=3, variety=AffineVariety(3, [parse_poly("x1*x2 - x3^2 + 1", 3)]))
+    mixed = SumSpec(nvars=2, additive_phase=parse_poly("x1^2 + x2", 2))
+    for spec, p, k, want, via_dft in [
+            (cubic, 13, 0, [((13, 13), 0), ((13, 13), 1)] * 3, False),
+            (quadric, 5, 0, [((5, 5, 5), 0), ((5, 5, 5), 1), ((5, 5, 5), 2)], False),
+            (quadric, 5, 1, [((5, 5, 5), 1), ((5, 5, 5), 2)], False),
+            (mixed, 5, 0, [((2, 5, 5), 1), ((2, 5, 5), 2)], True)]:
         calls.clear()
-        cyclo_dft(counts.copy(), 5, params=k)
-        assert calls == want, (k, calls)
+        dft_calls.clear()
+        complete_grid(spec, p, params=k)
+        assert calls == want, (spec, k, calls)
+        assert dft_calls == ([(p,) * (spec.nvars + 1)] if via_dft else [])
+    # the rounding-residual guard fires on the orbit path too
+    def ifft_off_by_03(*args, **kwargs):
+        out = ifft(*args, **kwargs)
+        out += 0.3
+        return out
+
+    monkeypatch.setattr(np.fft, "ifft", ifft_off_by_03)
+    dft_calls.clear()
+    for spec, p in ((cubic, 13), (quadric, 5)):
+        with pytest.raises(AssertionError, match="residual"):
+            complete_grid(spec, p)
+    assert dft_calls == []
+
+
+def test_scaling_finds_homogeneous_and_phase_free_fields():
+    def scaling(p, f=None, variety=None, params=0, **kw):
+        n = 3
+        spec = SumSpec(nvars=n, additive_phase=parse_poly(f, n) if f else None,
+                       variety=AffineVariety(n, [parse_poly(v, n) for v in variety])
+                       if variety else None, **kw)
+        _, weight, idx = trace_function_grid(spec, p)
+        return sumengine._scaling(weight, idx, p, params)
+
+    p = 7
+    g = FieldCtx(p).generator.rank
+    cone = ["x1*x2 - x3^2"]
+    # homogeneous phases on cones: idx(g x) = g^d idx(x)
+    assert scaling(p, "x1^3 + 2*x2*x3^2", cone) == (g, pow(g, 3, p))
+    assert scaling(p, "x1 - x3", cone, torus=True) == (g, g)
+    # phase-free: any variety, cone or not, and root counts
+    assert scaling(p, None, ["x1^2 + x2^2 - 1"]) == (1, g)
+    F = parse_poly("y^2 - x1^3 - x1 - 1", 2)
+    _, weight, idx = trace_function_grid(SumSpec(nvars=1, trace_weight=("root_count", F)), p)
+    assert sumengine._scaling(weight, idx, p) == (1, g)
+    # rejected: a homogeneous phase off a cone, a constant term, mixed
+    # degrees (2 and 1 differ mod p - 1), a Kloosterman phase
+    assert scaling(p, "x1 + x2", ["x1*x2 - x3^2 - 1"]) is None
+    assert scaling(p, "x1^2 + x2*x3 + 1") is None
+    assert scaling(p, "x1^2 + x2") is None
+    kl = SumSpec(nvars=1, trace_weight=("kloosterman_phase", 3))
+    _, weight, idx = trace_function_grid(kl, p)
+    assert sumengine._scaling(weight, idx, p) is None
+    # with params only the last n - k axes scale: degrees count there only,
+    # and the variety need only be a cone in those variables
+    assert scaling(p, "x1^5*x3^2 + x1*x2*x3", params=1) == (g, pow(g, 2, p))
+    assert scaling(p, "x1^5*x3^2 + x1*x2*x3") is None
+    assert scaling(p, "x2*x3", ["x1 - 1"], params=1) == (g, pow(g, 2, p))
+    assert scaling(p, "x2*x3", ["x1 - 1"]) is None
+    assert scaling(p, "x1 + x2*x3", params=2) is None
 
 
 def test_complete_grid_values_bit_equal_whole_render(monkeypatch, tmp_path):
