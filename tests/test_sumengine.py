@@ -441,7 +441,7 @@ def _homogeneous(rng, n, d, first=0):
                              for e in chosen})
 
 
-def _symmetric_specs(rng, p):
+def _symmetric_specs(rng):
     """Specs whose exact grids `_scaling` finds a symmetry in: homogeneous
     phases alone, on cones and on the torus, varieties and root counts."""
     specs = []
@@ -484,7 +484,7 @@ def test_complete_grid_matches_count_field_transform(monkeypatch):
     rng = random.Random(20261019)
     orbit = 0
     for p in (3, 5, 7, 11, 13, 17):
-        cases = [(spec, 0, True) for spec in _symmetric_specs(rng, p)]
+        cases = [(spec, 0, True) for spec in _symmetric_specs(rng)]
         cases += [(spec, 0, False) for spec in _control_specs(rng, p)]
         for n, k in ((2, 1), (3, 1), (3, 2)):  # fibers over the first k variables
             fiber_phase = _homogeneous(rng, n, rng.randint(1, 3), first=k) * (
