@@ -210,19 +210,13 @@ def _linear_form(coeffs, n) -> IntPolynomial:
 # -- diagonal quadratic forms --------------------------------------------------------
 
 
-def _dual_diagonal_form(coeffs) -> IntPolynomial:
-    """sum_i v_i^2 prod_{j != i} a_j: vanishes exactly where
-    sum v_i^2 / a_i does (p coprime to all a_j)."""
-    n = len(coeffs)
-    terms = {}
-    for i in range(n):
-        prod = 1
-        for j, a in enumerate(coeffs):
-            if j != i:
-                prod *= a
-        exps = tuple(2 * int(j == i) for j in range(n))
-        terms[exps] = prod
-    return IntPolynomial(n, terms)
+def _dual_diagonal_form(a, v) -> IntPolynomial:
+    """sum_i v_i^2 prod_{j != i} a_j over the variables v, the a_j integers
+    or polynomials: vanishes exactly where sum v_i^2 / a_i does (p coprime
+    to all a_j)."""
+    n = len(v)
+    return sum((v[i] ** 2 * math.prod(a[j] for j in range(n) if j != i) for i in range(n)),
+               IntPolynomial.zero(v[0].nvars))
 
 
 def _diagonal_form(coeffs) -> IntPolynomial:
@@ -243,7 +237,8 @@ def _diagonal_strata(coeffs) -> list:
     origin = _origin_variety(n)
     if n % 2 == 1:
         return [origin] * (n - 1)
-    dual = AffineVariety(n, [_dual_diagonal_form(coeffs)], claimed_dim=n - 1)
+    v = [IntPolynomial.variable(i, n) for i in range(n)]
+    dual = AffineVariety(n, [_dual_diagonal_form(coeffs, v)], claimed_dim=n - 1)
     return [dual] + [origin] * (n - 2)
 
 
@@ -329,10 +324,8 @@ def smooth_form(F: IntPolynomial, max_ext: int = 2,
     test_primes = tuple(p for p in test_primes if F.degree() % p != 0)
 
     def masks(p):
-        dual = dual_points_mask(F, p, max_ext=max_ext)
-        origin = np.zeros((p,) * n, dtype=bool)
-        origin[(0,) * n] = True
-        return [dual, origin]
+        return [dual_points_mask(F, p, max_ext=max_ext),
+                variety_mask(_origin_variety(n), p, n)]
 
     return CatalogEntry(
         name="smooth_form", ambient=n, d=n - 1, C=8.0, N=2 * F.degree(),
@@ -378,9 +371,7 @@ def quadric_blocks(n_blocks: int) -> CatalogEntry:
         all_vanish = vanish >= n
         for k in range(n, 3 * n - 1):
             out.append(all_vanish)
-        origin = np.zeros((p,) * ambient, dtype=bool)
-        origin[(0,) * ambient] = True
-        out.append(origin)
+        out.append(variety_mask(_origin_variety(ambient), p, ambient))
         return out
 
     chain = None
@@ -469,52 +460,31 @@ def _family_masks(n: int, p: int):
     by the parity of the surviving block; the loci v = 0 and d = v = 0 sit
     at depths n-1 and n+1.  Every piece has codimension at least its depth,
     and the chain is padded with empty strata up to index 3n-1."""
-    shape_dv = (p,) * (2 * n)
-    mesh = np.indices(shape_dv, dtype=np.int64)
-    d = mesh[:n]
-    v = mesh[n:]
-    depth = 3 * n - 1
-    pieces = []  # (max_depth, mask over (d, v))
-
-    vzero = np.ones(shape_dv, dtype=bool)
-    for i in range(n):
-        vzero &= v[i] == 0
+    var = [IntPolynomial.variable(i, 2 * n) for i in range(2 * n)]
+    d, v = var[:n], var[n:]
+    pieces = [(n + 1, d + v)]  # (max depth, generators over (d, v))
     if n >= 2:
-        pieces.append((n - 1, vzero))
-    dzero = np.ones(shape_dv, dtype=bool)
-    for i in range(n):
-        dzero &= d[i] == 0
-    pieces.append((n + 1, dzero & vzero))
-
+        pieces.append((n - 1, v))
     for K in _subsets(n):
-        z = len(K)
-        n_eff = n - z
-        if n_eff == 0:
+        supp = [i for i in range(n) if i not in K]
+        if not supp:
             continue
-        base = np.ones(shape_dv, dtype=bool)
-        for i in K:
-            base &= (d[i] == 0) & (v[i] == 0)
-        depth_gen = z - (1 if n_eff % 2 == 0 else 0)
-        if depth_gen >= 1:
-            pieces.append((depth_gen, base))
-        if n_eff % 2 == 0:
-            dual = np.zeros(shape_dv, dtype=np.int64)
-            supp = [i for i in range(n) if i not in K]
-            for i in supp:
-                prod = np.ones(shape_dv, dtype=np.int64)
-                for j in supp:
-                    if j != i:
-                        prod = (prod * d[j]) % p
-                dual = (dual + v[i] ** 2 * prod) % p
-            pieces.append((z + 1, base & (dual == 0)))
-
+        base = [g for i in K for g in (d[i], v[i])]
+        even = len(supp) % 2 == 0
+        if len(K) - even >= 1:
+            pieces.append((len(K) - even, base))
+        if even:
+            dual = _dual_diagonal_form([d[i] for i in supp], [v[i] for i in supp])
+            pieces.append((len(K) + 1, base + [dual]))
+    grids = [(dep, variety_mask(AffineVariety(2 * n, gens), p, 2 * n))
+             for dep, gens in pieces]
     masks = []
-    for j in range(1, depth + 1):
-        m = np.zeros(shape_dv, dtype=bool)
-        for dep, piece in pieces:
+    for j in range(1, 3 * n):
+        m = np.zeros((p,) * (2 * n), dtype=bool)
+        for dep, grid in grids:
             if j <= dep:
-                m |= piece
-        masks.append(np.broadcast_to(m, (p,) * n + shape_dv))
+                m |= grid
+        masks.append(np.broadcast_to(m, (p,) * (3 * n)))
     return masks
 
 
@@ -571,14 +541,8 @@ def burgess_sums(r: int, p: int, chi_order: int, chi_index: int = 1) -> np.ndarr
     over the full parameter grid F_p^{2r}."""
     ctx = FieldCtx(p)
     tab = ctx.mult_char_table(chi_order, chi_index)
-    xs = np.arange(p, dtype=np.int64)
-    prod = np.ones((p,) * r + (p,), dtype=np.int64)
-    for i in range(r):
-        shape = [1] * (r + 1)
-        shape[i] = p
-        ai = xs.reshape(shape)
-        diff = (xs.reshape((1,) * r + (p,)) - ai) % p
-        prod = (prod * diff) % p
+    a = [IntPolynomial.variable(i, r + 1) for i in range(r + 1)]
+    prod = poly_values_grid(math.prod(a[r] - a[i] for i in range(r)), p)
     half = tab[prod]                      # shape (p,)*r + (p,), indexed by a, x
     flat = half.reshape(-1, p)
     out = flat @ flat.conj().T            # (p^r, p^r): sum over x

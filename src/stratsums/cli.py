@@ -35,7 +35,7 @@ from .errors import (
 from .ffield import FieldCtx, is_prime
 from .polyring import AffineVariety, parse_poly
 from .spectral import extension_sum, extension_sums, fit_recurrence, weight_check
-from .strat import _CONTAINMENT_CHECK_LIMIT, KLDatum, VarietyChain, verify_kl
+from .strat import KLDatum, VarietyChain, verify_kl
 from .sumengine import SumSpec, complete_grid, eval_sum
 
 EXIT_OK = 0
@@ -65,8 +65,6 @@ def _parse_primes(text: str):
 def _check_config(args, tol: float | None = None):
     if args.cap <= 0:
         raise ParseError("--cap must be positive")
-    if args.workers < 1:
-        raise ParseError("--workers must be >= 1")
     if tol is not None and not (0 < tol < 1):
         raise ParseError("--tol must lie in (0, 1)")
 
@@ -158,11 +156,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    chain = VarietyChain.load(args.chain, check_primes=())
     primes = _parse_primes(args.p)
-    for p in primes:
-        if p ** chain.ambient <= _CONTAINMENT_CHECK_LIMIT:
-            chain.check_containment(p)
+    chain = VarietyChain.load(args.chain, check_primes=primes)
     spec = _build_spec(args)
     if spec.nvars != chain.ambient:
         raise ParseError("spec and chain ambient dimensions differ")
@@ -312,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "stratified bound verification, weight recovery.")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized spot checks (default 0)")
-    ap.add_argument("--workers", type=int, default=1,
-                    help="accepted for compatibility (must be >= 1); has no "
-                         "effect, every run is single-threaded")
     ap.add_argument("--cap", type=int, default=DEFAULT_GRID_CAP,
                     help="size cap for enumerations, grids and extensions "
                          "(default 2^26)")

@@ -124,22 +124,21 @@ def poly_is_irreducible(coeffs: list[int], p: int) -> bool:
     return True
 
 
+def _first_irreducible(p: int, m: int, start: int) -> tuple[int, ...]:
+    """First monic irreducible of degree m >= 2 over F_p at rank >= start,
+    ranking candidates (c_0, ..., c_{m-1}, 1) by sum c_i p^i."""
+    for rank in range(start, p ** m):
+        coeffs = [rank // p ** i % p for i in range(m)] + [1]
+        if coeffs[0] != 0 and poly_is_irreducible(coeffs, p):
+            return tuple(coeffs)
+    raise RuntimeError(f"no irreducible of degree {m} over F_{p} from rank {start}")
+
+
 @lru_cache(maxsize=None)
 def least_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree m over F_p,
     ordering candidates by the coefficient tuple (c_0, ..., c_{m-1})."""
-    if m == 1:
-        return (0, 1)
-    for rank in range(p ** m):
-        coeffs = []
-        r = rank
-        for _ in range(m):
-            coeffs.append(r % p)
-            r //= p
-        coeffs.append(1)
-        if coeffs[0] != 0 and poly_is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise RuntimeError(f"no irreducible of degree {m} over F_{p}")  # unreachable
+    return (0, 1) if m == 1 else _first_irreducible(p, m, 0)
 
 
 def next_irreducible(p: int, m: int, after: tuple[int, ...]) -> tuple[int, ...]:
@@ -147,17 +146,7 @@ def next_irreducible(p: int, m: int, after: tuple[int, ...]) -> tuple[int, ...]:
     Used to build a second, inequivalent field model for invariance tests."""
     if m == 1:
         raise ValueError("degree-1 modulus has no alternative model")
-    start = sum(c * p ** i for i, c in enumerate(after[:m])) + 1
-    for rank in range(start, p ** m):
-        coeffs = []
-        r = rank
-        for _ in range(m):
-            coeffs.append(r % p)
-            r //= p
-        coeffs.append(1)
-        if coeffs[0] != 0 and poly_is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise RuntimeError(f"no further irreducible of degree {m} over F_{p}")
+    return _first_irreducible(p, m, sum(c * p ** i for i, c in enumerate(after[:m])) + 1)
 
 
 class FieldElem:

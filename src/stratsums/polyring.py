@@ -151,17 +151,6 @@ class IntPolynomial:
             total = total + v
         return total
 
-    def eval_mod_p_int(self, point, p: int) -> int:
-        """Fast path: value mod p at an integer point, no context objects."""
-        total = 0
-        for exps, coeff in self.terms.items():
-            v = coeff % p
-            for x, e in zip(point, exps):
-                if e:
-                    v = (v * pow(x % p, e, p)) % p
-            total = (total + v) % p
-        return total
-
     def specialize(self, assignments: dict[int, int]) -> "IntPolynomial":
         """Substitute integers for the given variable indices; the surviving
         variables are reindexed in their original order."""
@@ -238,9 +227,6 @@ class AffineVariety:
 
     def contains(self, point) -> bool:
         return all(g.eval_mod(point).is_zero() for g in self.generators)
-
-    def contains_int(self, point, p: int) -> bool:
-        return all(g.eval_mod_p_int(point, p) == 0 for g in self.generators)
 
     def height_upper(self) -> float:
         """Upper bound for the variety height from the *given* generators:

@@ -70,13 +70,15 @@ class VarietyChain:
         return [grids[V.generators] for V in self.strata]
 
     def stratum_index(self, h, p: int) -> int:
-        """Largest i with h in X_i(F_p), 0 when h avoids the whole chain."""
+        """Largest i with h in X_i(F_p), 0 when h avoids the whole chain;
+        membership is tested on `FieldCtx(p)` elements, so p must be prime."""
         if len(h) != self.ambient:
             raise ValueError("point dimension mismatch")
-        point = tuple(int(x) % p for x in h)
+        ctx = FieldCtx(p, cap=p)  # one point: no field-sized table is built
+        point = [ctx.elem(int(x)) for x in h]
         best = 0
         for i, V in enumerate(self.strata, start=1):
-            if V.contains_int(point, p):
+            if V.contains(point):
                 best = i
             else:
                 break  # descending chain: deeper strata cannot contain h

@@ -19,8 +19,8 @@ serve as the other's oracle:
   of s is transformed (`_orbit_spectrum`); other fields go through
   `cyclo_dft`, the generic zeta-count transform and the reference.  An
   exact sum that factors over disjoint variable blocks is the product of
-  the blocks' transforms (`_product_grid`).  With `params=k` the first k
-  point axes are family parameters: only the last n - k are transformed,
+  the blocks' transforms (`_product_spectrum`).  With `params=k` the first
+  k point axes are family parameters: only the last n - k are transformed,
   so one call builds every fiber of a family, each rounded on its own.
 
 Purely additive sums are carried exactly as zeta_p-coefficient counts
@@ -692,10 +692,9 @@ def _count_field(weight: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
     return counts
 
 
-def _product_grid(spec: SumSpec, blocks: list[list[int]], p: int,
-                  sign: int) -> SumGrid:
-    """`complete_grid` of an exact spec as the product of its blocks'
-    permuted half-spectra and total counts, rounded as in `cyclo_dft`."""
+def _product_spectrum(spec: SumSpec, blocks: list[list[int]], p: int, sign: int):
+    """The permuted half-spectrum of an exact spec, shape (p//2, p^n), and
+    its total count: the products of its blocks' half-spectra and totals."""
     n, half = spec.nvars, p // 2
     parts, total = [], 1
     for k, block in enumerate(blocks):
@@ -705,12 +704,7 @@ def _product_grid(spec: SumSpec, blocks: list[list[int]], p: int,
         shape = [p if i in block else 1 for i in range(n)] + [half]
         parts.append(np.moveaxis(part, 0, -1).reshape(shape))
         total *= count
-    counts = np.empty((p,) * n + (p,), dtype=np.int64)
-    # the product (s axis last) is freed before the render
-    _round_counts(reduce(np.multiply, parts).reshape(-1, half).T, total, p,
-                  counts.reshape(-1, p))
-    return SumGrid(p=p, n=n, values=_render(counts, p, canonical=True),
-                   counts=counts)
+    return reduce(np.multiply, parts).reshape(-1, half).T, total
 
 
 def complete_grid(spec: SumSpec, p: int, sign: int = 1,
@@ -725,15 +719,16 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     fiber at a, every fiber in one `cyclo_dft` call.
 
     An exact grid with a scaling symmetry (`_scaling`) transforms one field
-    per orbit of zeta powers (`_orbit_spectrum`) into a new count array;
-    any other scatters weight[x] to zeta power idx[x] of a count field and
-    transforms it in place with `cyclo_dft`.  If the spec factors over
-    variable blocks (`_var_blocks`) and p^(n+1) > _BLOCK, it multiplies the
-    blocks' spectra, each built the same way (`_product_grid`): block count
-    masses multiply to the whole field's, so the rounding bound holds.
-    Either way it peaks at two count fields; over the same row blocks
-    (`_render`) each cell is put in canonical form (min coefficient 0, so
-    exact zeros render as 0) and rendered."""
+    per orbit of zeta powers (`_orbit_spectrum`); any other scatters
+    weight[x] to zeta power idx[x] of a count field and transforms it in
+    place with `cyclo_dft`.  If the spec factors over variable blocks
+    (`_var_blocks`) and p^(n+1) > _BLOCK, the spectrum is the product of
+    the blocks' spectra, each built the same way (`_product_spectrum`):
+    block count masses multiply to the whole field's, so the rounding bound
+    holds.  Both kinds of spectrum are rounded here into a new count
+    array.  Either way it peaks at two count fields; over the same row
+    blocks (`_render`) each cell is put in canonical form (min coefficient
+    0, so exact zeros render as 0) and rendered."""
     n = spec.nvars
     if spec.linear_form is not None and any(spec.linear_form):
         raise ValueError("complete_grid sweeps all h; fix the spec's linear form to None")
@@ -748,19 +743,19 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     blocks = (_var_blocks(spec) if spec.is_exact() and not params
               and p ** (n + 1) > _BLOCK else [])
     if len(blocks) > 1:
-        return _product_grid(spec, blocks, p, sign)
-    data = trace_function_grid(spec, p)
-    if data[0] == "complex":
-        return SumGrid(p=p, n=n, values=dft_grid(data[1], p, sign))
-    built = _orbit_spectrum(data[1], data[2], p, sign, params)
+        built = _product_spectrum(spec, blocks, p, sign)
+    else:
+        data = trace_function_grid(spec, p)
+        if data[0] == "complex":
+            return SumGrid(p=p, n=n, values=dft_grid(data[1], p, sign))
+        built = _orbit_spectrum(data[1], data[2], p, sign, params)
     if built is None:
         counts = cyclo_dft(_count_field(data[1], data[2], p), p, sign, params=params)
     else:  # the spectrum is freed before the render
         counts = np.empty((p,) * n + (p,), dtype=np.int64)
         _round_counts(built[0].reshape(p // 2, -1), built[1], p, counts.reshape(-1, p))
         del built
-    values = _render(counts, p, canonical=True)
-    return SumGrid(p=p, n=n, values=values, counts=counts)
+    return SumGrid(p=p, n=n, values=_render(counts, p, canonical=True), counts=counts)
 
 
 def S_F_grid(F: IntPolynomial, p: int, cap: int = DEFAULT_GRID_CAP) -> SumGrid:

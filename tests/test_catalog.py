@@ -91,6 +91,18 @@ def brute_quadric_sum(coeffs, v, p):
     return acc
 
 
+def test_dual_diagonal_form_specializes_to_the_integer_form():
+    # the family's dual quadric in variables (a, v), with integers put for
+    # a, is the fiber's dual quadric in v
+    for a in ([1], [2, 3], [1, -2, 5], [3, 1, 4, 7]):
+        n = len(a)
+        var = [IntPolynomial.variable(i, 2 * n) for i in range(2 * n)]
+        family = catalog._dual_diagonal_form(var[:n], var[n:])
+        fiber = catalog._dual_diagonal_form(a, [IntPolynomial.variable(i, n) for i in range(n)])
+        assert family.specialize(dict(enumerate(a))) == fiber
+        assert fiber.monomial_count() == n
+
+
 def test_diagonal_quadratic_t_at_zero_is_exactly_p_sq_n3():
     # oracle: brute force over 125 points at p = 5
     brute = brute_quadric_sum([1, 1, 1], (0, 0, 0), 5)

@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
+import stratsums
+from stratsums.catalog import CATALOG
 from stratsums.cli import main
 from stratsums.ffield import FieldCtx
 from stratsums.polyring import AffineVariety, parse_poly
@@ -238,11 +244,21 @@ def test_dual_command(capsys):
     assert out.strip() == "nonmember"
 
 
-def test_worker_count_invariance(capsys, tmp_path):
-    outs = []
-    for workers in ("1", "3"):
-        code, out, _ = run(capsys, "--workers", workers, "grid", "--p", "5",
-                           "--f", "x1^2 + x2", "--spot-check", "10")
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+def test_workers_option_is_gone(capsys):
+    # before the subcommand argparse reads the stray "1" as the command
+    for argv, why in [(["--workers", "1", "grid"], "invalid choice: '1'"),
+                      (["grid", "--workers", "1"], "unrecognized arguments: --workers 1")]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--p", "5", "--f", "x1^2 + x2"])
+        assert exc.value.code == 2
+        assert why in capsys.readouterr().err
+
+
+def test_module_entry_point_lists_catalog():
+    src = os.path.dirname(os.path.dirname(stratsums.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "stratsums", "catalog", "list"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == sorted(CATALOG)

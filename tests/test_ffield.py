@@ -36,6 +36,25 @@ def test_least_irreducible_is_t2_plus_1_for_f9():
     assert least_irreducible(3, 2) == (1, 0, 1)
 
 
+def test_irreducible_scan_visits_every_monic_irreducible_once():
+    # least_irreducible, then next_irreducible to the end, lists the monic
+    # irreducibles of degree m >= 2 in rank order (sum c_i p^i), all
+    # (1/m) sum_{d | m} mu(d) p^(m/d) of them
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0}
+    for p in (2, 3, 5):
+        for m in (2, 3, 4):
+            found = [least_irreducible(p, m)]
+            while True:
+                try:
+                    found.append(next_irreducible(p, m, found[-1]))
+                except RuntimeError:
+                    break
+            count = sum(mobius[d] * p ** (m // d) for d in mobius if m % d == 0) // m
+            assert len(found) == count == len(set(found))
+            assert all(poly_is_irreducible(list(f), p) for f in found)
+            assert found == sorted(found, key=lambda f: f[::-1])
+
+
 def test_modulus_irreducibility_rejects_reducible():
     # t^2 - 1 = (t-1)(t+1) mod 5
     assert not poly_is_irreducible([4, 0, 1], 5)

@@ -64,17 +64,6 @@ def test_eval_mod_is_ring_homomorphism_on_random_instances():
         assert lhs == rhs
 
 
-def test_eval_mod_p_int_matches_eval_mod():
-    ctx = FieldCtx(11)
-    rng = random.Random(11)
-    for _ in range(30):
-        f = random_poly(rng, 3)
-        pt = [rng.randrange(11) for _ in range(3)]
-        fast = f.eval_mod_p_int(pt, 11)
-        slow = f.eval_mod([ctx.elem(x) for x in pt]).coeffs[0]
-        assert fast == slow
-
-
 def test_coefficient_height():
     assert coefficient_height(parse_poly("x1 + 1")) == 0.0
     f = parse_poly("3*x1^2 - 7")
@@ -129,17 +118,17 @@ def test_homogeneous_closure_cone_property_exhaustive():
     # closed under scalar multiplication of points, all p <= 7
     rng = random.Random(13)
     for p in (2, 3, 5, 7):
+        ctx = FieldCtx(p)
         for _ in range(5):
             V = AffineVariety(2, [random_poly(rng, 2, max_deg=3, max_terms=4)])
             W = homogeneous_closure(V)
             member = [pt for pt in
-                      ((a, b) for a in range(p) for b in range(p))
-                      if W.contains_int(pt, p)]
+                      ([ctx.elem(a), ctx.elem(b)] for a in range(p) for b in range(p))
+                      if W.contains(pt)]
             for pt in member:
-                assert V.contains_int(pt, p)
-                for lam in range(p):
-                    scaled = tuple((lam * c) % p for c in pt)
-                    assert W.contains_int(scaled, p)
+                assert V.contains(pt)
+                for lam in ctx.elements():
+                    assert W.contains([lam * c for c in pt])
 
 
 def test_specialization_height_inequality_explicit_constant():
@@ -218,10 +207,9 @@ def test_variety_membership_and_empty():
     V = AffineVariety(2, [parse_poly("x1^2 + x2^2")])
     assert V.contains([ctx.elem(0), ctx.elem(0)])
     assert not V.contains([ctx.elem(1), ctx.elem(1)])
-    E = AffineVariety.empty(2)
-    assert not any(E.contains_int((a, b), 3) for a in range(3) for b in range(3))
-    F = AffineVariety.full(2)
-    assert all(F.contains_int((a, b), 3) for a in range(3) for b in range(3))
+    points = [[a, b] for a in ctx.elements() for b in ctx.elements()]
+    assert not any(AffineVariety.empty(2).contains(pt) for pt in points)
+    assert all(AffineVariety.full(2).contains(pt) for pt in points)
 
 
 def test_variety_height_upper():

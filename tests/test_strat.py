@@ -46,6 +46,16 @@ def test_stratum_index_plane_example():
     chain = VarietyChain(3, [AffineVariety(3, [parse_poly("x3", nvars=3)])])
     assert chain.stratum_index((1, 2, 0), 5) == 1
     assert chain.stratum_index((0, 0, 1), 5) == 0
+    # a point test builds no field tables, so the grid cap does not apply
+    p = 2_147_483_647
+    assert chain.stratum_index((1, 2, 2 * p), p) == 1
+    assert chain.stratum_index((0, 0, p - 1), p) == 0
+
+
+def test_stratum_index_needs_a_prime():
+    chain = VarietyChain(3, [AffineVariety(3, [parse_poly("x3", nvars=3)])])
+    with pytest.raises(ValueError, match="not prime"):
+        chain.stratum_index((1, 2, 0), 4)
 
 
 def test_stratum_index_origin_is_deepest():

@@ -76,8 +76,9 @@ def test_poly_values_grid_matches_pointwise():
         f = IntPolynomial(n, terms)
         grid = poly_values_grid(f, p, side)
         assert grid.shape == (side,) * n and grid.dtype == np.int64
+        ctx = FieldCtx(p)
         for x in np.ndindex(*grid.shape):
-            assert grid[x] == f.eval_mod_p_int(x, p)
+            assert grid[x] == f.eval_mod([ctx.elem(c) for c in x]).coeffs[0]
 
 
 def test_poly_values_grid_reduces_before_int64_overflow():
@@ -91,8 +92,9 @@ def test_poly_values_grid_reduces_before_int64_overflow():
             rng.randrange(p // 2, p)
     f = IntPolynomial(4, terms)
     grid = poly_values_grid(f, p, side)
+    ctx = FieldCtx(p, cap=p)
     for x in np.ndindex(*grid.shape):
-        assert grid[x] == f.eval_mod_p_int(x, p)
+        assert grid[x] == f.eval_mod([ctx.elem(c) for c in x]).coeffs[0]
 
 
 def test_variety_mask_matches_full_grid_evaluation():
@@ -397,7 +399,7 @@ def test_complete_grid_params_input_checks(monkeypatch):
     def no_split(*args):
         raise AssertionError("a parameter grid was split")
 
-    monkeypatch.setattr(sumengine, "_product_grid", no_split)
+    monkeypatch.setattr(sumengine, "_product_spectrum", no_split)
     monkeypatch.setattr(sumengine, "_BLOCK", SPLIT)
     assert len(sumengine._var_blocks(exact)) == 2
     grid = complete_grid(exact, 3, cap=3 ** 5, params=2)
