@@ -21,7 +21,7 @@ import numpy as np
 from .cyclo import zeta_table
 from .errors import DEFAULT_GRID_CAP
 from .ffield import FieldCtx, gauss_sum
-from .polyring import AffineVariety, IntPolynomial
+from .polyring import AffineVariety, IntPolynomial, parse_poly
 from .strat import (
     StratReport,
     VarietyChain,
@@ -166,11 +166,14 @@ def _minor_gcd(rows: list, n: int) -> int:
     return max(g, 1)
 
 
-def linear_space(n: int, basis: list) -> CatalogEntry:
+def linear_space(n: int, basis: list | None = None) -> CatalogEntry:
     """Sums of psi(h.x) over a codimension-2 linear subspace V = span(basis):
     exactly p^{n-2} on the dual space V-perp, exactly 0 elsewhere.  The chain
     repeats V-perp down to depth n-2 and is empty below; C = 1, and N
-    collects the primes where the basis (or its complement) loses rank."""
+    collects the primes where the basis (or its complement) loses rank.
+    The default basis is e_3, ..., e_n."""
+    if basis is None:
+        basis = [[int(i == j) for i in range(n)] for j in range(2, n)]
     basis = [list(b) for b in basis]
     if len(basis) != n - 2 or _matrix_rank(basis, n) != n - 2:
         raise ValueError(f"basis must span a {n - 2}-dimensional subspace")
@@ -304,15 +307,18 @@ def diagonal_quadratic(n: int, coeffs=None) -> CatalogEntry:
 # -- smooth homogeneous forms ----------------------------------------------------------
 
 
-def smooth_form(F: IntPolynomial, max_ext: int = 2,
+def smooth_form(F: IntPolynomial | str, max_ext: int = 2,
                 smooth_primes: tuple = (5, 7),
                 test_primes: tuple = (5, 7, 11, 13)) -> CatalogEntry:
-    """Sums over the cone {F = 0} for a homogeneous F cutting a smooth
-    projective hypersurface.  The first stratum is the cone on the dual
-    hypersurface, located by bounded search over small extensions; the
-    origin sits below it.  Smoothness is screened at `smooth_primes`
-    (brute force over small extensions); a failing screen flags the entry.
+    """Sums over the cone {F = 0} for a homogeneous F (or its text)
+    cutting a smooth projective hypersurface.  The first stratum is the
+    cone on the dual hypersurface, located by bounded search over small
+    extensions; the origin sits below it.  Smoothness is screened at
+    `smooth_primes` (brute force over small extensions); a failing screen
+    flags the entry.
     """
+    if isinstance(F, str):
+        F = parse_poly(F)
     if not F.is_homogeneous():
         raise ValueError("F must be homogeneous")
     n = F.nvars
@@ -630,52 +636,26 @@ def burgess_family(r: int) -> CatalogEntry:
 # -- registry ---------------------------------------------------------------------------
 
 
-def _build_linear_space(params):
-    n = int(params.get("n", 3))
-    basis = params.get("basis")
-    if basis is None:
-        basis = [[int(i == j) for i in range(n)] for j in range(2, n)]
-    return linear_space(n, basis)
-
-
-def _build_diagonal_quadratic(params):
-    n = int(params.get("n", 3))
-    coeffs = params.get("coeffs")
-    return diagonal_quadratic(n, coeffs)
-
-
-def _build_smooth_form(params):
-    from .polyring import parse_poly
-    F = params.get("F", "x1^3 + x2^3 + x3^3")
-    if isinstance(F, str):
-        F = parse_poly(F)
-    return smooth_form(F)
-
-
-def _build_quadric_blocks(params):
-    return quadric_blocks(int(params.get("n_blocks", 1)))
-
-
-def _build_quadratic_family(params):
-    return quadratic_family(int(params.get("n", 1)))
-
-
-def _build_burgess(params):
-    return burgess_family(int(params.get("r", 1)))
-
-
-CATALOG = {
-    "linear_space": _build_linear_space,
-    "diagonal_quadratic": _build_diagonal_quadratic,
-    "smooth_form": _build_smooth_form,
-    "quadric_blocks": _build_quadric_blocks,
-    "quadratic_family": _build_quadratic_family,
-    "burgess_family": _build_burgess,
+CATALOG = {  # name -> (builder, its parameters and their defaults)
+    "linear_space": (linear_space, {"n": 3, "basis": None}),
+    "diagonal_quadratic": (diagonal_quadratic, {"n": 3, "coeffs": None}),
+    "smooth_form": (smooth_form, {"F": "x1^3 + x2^3 + x3^3"}),
+    "quadric_blocks": (quadric_blocks, {"n_blocks": 1}),
+    "quadratic_family": (quadratic_family, {"n": 1}),
+    "burgess_family": (burgess_family, {"r": 1}),
 }
 
 
 def build_entry(name: str, params: dict | None = None) -> CatalogEntry:
+    """The catalog entry `name`, its parameters the defaults updated by
+    `params`; integer parameters are converted with int()."""
     if name not in CATALOG:
         raise KeyError(f"unknown catalog entry {name!r}; "
                        f"known: {', '.join(sorted(CATALOG))}")
-    return CATALOG[name](params or {})
+    build, defaults = CATALOG[name]
+    params = params or {}
+    if unknown := sorted(set(params) - set(defaults)):
+        raise ValueError(f"unknown parameter(s) {', '.join(unknown)} for {name}; "
+                         f"known: {', '.join(defaults)}")
+    return build(**{k: int(v) if isinstance(defaults[k], int) else v
+                    for k, v in {**defaults, **params}.items()})

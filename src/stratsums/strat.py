@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, ChainContainmentError
+from .errors import CapExceeded, ChainContainmentError, ParseError
 from .ffield import FieldCtx
 from .polyring import AffineVariety, IntPolynomial, parse_poly, poly_to_string
 from .spectral import _BLOCK, face_blocks, poly_windows, trace_windows
@@ -106,6 +106,9 @@ class VarietyChain:
     def from_json_dict(cls, data: dict, check_primes=(2, 3)) -> "VarietyChain":
         ambient = int(data["ambient_n"])
         codims = data.get("claimed_codims") or [None] * len(data["strata"])
+        if len(codims) != len(data["strata"]):
+            raise ParseError(f"chain has {len(data['strata'])} strata but "
+                             f"{len(codims)} claimed codims")
         strata = []
         for gens, codim in zip(data["strata"], codims):
             polys = [parse_poly(g, nvars=ambient) for g in gens]

@@ -13,14 +13,15 @@ serve as the other's oracle:
 * `complete_grid` transforms the kernel's pointwise data at m = 1
   (`trace_function_grid`) with numpy's FFT over the n point axes: complex
   grids directly (`dft_grid`), exact grids through their values at the
-  roots of unity zeta^s, rounded back to counts.  Where scaling the points
-  maps weight[x] zeta^idx[x] to itself up to s -> s t on zeta (a phase-free
-  field, a homogeneous phase on a cone: `_scaling`), one field per orbit
-  of s is transformed (`_orbit_spectrum`); other fields go through
-  `cyclo_dft`, the generic zeta-count transform and the reference.  An
-  exact sum that factors over disjoint variable blocks is the product of
-  the blocks' transforms (`_product_spectrum`).  With `params=k` the first
-  k point axes are family parameters: only the last n - k are transformed,
+  roots of unity zeta^s, rounded back to counts.  One builder makes every
+  exact half-spectrum (`_orbit_spectrum`): where scaling the points maps
+  weight[x] zeta^idx[x] to itself up to s -> s t on zeta (a phase-free
+  field, a homogeneous phase on a cone: `_scaling`), it transforms one
+  field per orbit of s; `cyclo_dft`, the generic zeta-count transform and
+  the reference, is its trivial orbit, every s transformed.  An exact sum
+  that factors over disjoint variable blocks is the product of the
+  blocks' transforms (`_product_spectrum`).  With `params=k` the first k
+  point axes are family parameters: only the last n - k are transformed,
   so one call builds every fiber of a family, each rounded on its own.
 
 Purely additive sums are carried exactly as zeta_p-coefficient counts
@@ -397,34 +398,30 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1, params: int = 0) -> np.
     over the last n - k axes, the transform of each fiber.
 
     Each row is an element of Z[X]/(X^p - 1), so its values at all p-th
-    roots of unity fix it, and integer rows need only s <= p//2.  At
-    X = zeta^s the transform is an ordinary DFT over the point axes read at
-    (s sign h) mod p.  In row blocks of about _BLOCK zeta cells:
+    roots of unity fix it, and integer rows need only s <= p//2.  This is
+    `_orbit_spectrum` on the trivial orbit (g, t) = (1, 1), every slot its
+    own representative:
 
     * each row's values at zeta^s, 1 <= s <= p//2, are the row times the
-      (p x p//2) table zeta^(t s), written slice by slice into one
-      contiguous spectrum of shape (p//2,) + (p,)*n;
-    * slice 0 is the same at every h of a fiber, the fiber's total count,
-      so it is not stored;
-    * the inverse FFTs over the last n - k point axes run in place on the
-      spectrum, and slice s is permuted to (s sign h) mod p on those axes
-      by one flat index;
+      (p x p//2) table zeta^(t s), one product per row block of about
+      _BLOCK zeta cells; zeta^0, each fiber's total count, is not stored;
+    * each slot is transformed in place over the last n - k point axes and
+      read at (s sign h) mod p;
     * the coefficients come back as the conjugate table zeta^(-j s) with
       weight 2/p (1/p at s = p/2, so for p = 2), plus each row's own fiber
-      total/p, and are rounded block by block into the int64 output.
+      total/p, rounded block by block into the int64 output
+      (`_round_counts`).
 
     Rounding is exact: every output coefficient is a sum of input counts,
     and the float error of the table products and the FFTs is of order
     eps (p + log p^n) times the count mass sum|counts| of its fiber (no
-    fiber's arithmetic touches another's, so the bound holds fiber by
-    fiber).  In `complete_grid` that mass is at most the number of cells
-    times p (one weight per point, a root count of at most p), so at most
-    p^(n+1) <= cap, and the error stays far below 1/2: np.rint recovers the
-    integers.  `complete_grid`'s orbit transform (`_orbit_spectrum`), for
-    which this is the reference, rounds the same spectrum within the same
-    bound: each value is a gathered or conjugated value of one FFT of a
-    field weight zeta^(r idx) of the same count mass.  A rounding residual
-    above 1e-3 raises AssertionError rather than returning wrong counts.
+    fiber's arithmetic touches another's).  In `complete_grid` that mass
+    is at most p^(n+1) <= cap (one weight per point, a root count of at
+    most p), so the error stays far below 1/2 and np.rint recovers the
+    integers.  Every spectrum `_orbit_spectrum` builds has this bound:
+    each value is a gathered or conjugated value of one FFT of a field
+    weight zeta^(r idx) of the same count mass.  A rounding residual above
+    1e-3 raises AssertionError rather than returning wrong counts.
 
     The forward products read every row before the first output row is
     written, so the output is rounded straight into the input's buffer: a
@@ -432,8 +429,16 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1, params: int = 0) -> np.
     the transform holds two count-sized arrays, not three.  Other inputs
     are copied to int64 first."""
     rows = np.ascontiguousarray(counts, dtype=np.int64).reshape(-1, p)
-    spectrum, totals = _half_spectrum(rows, p, counts.ndim - 1, sign, params)
-    _round_counts(spectrum.reshape(p // 2, -1), totals, p, rows)
+    fwd = _zeta_powers(p)
+
+    def fill(spectrum, reps):  # reps: every slot
+        flat = spectrum.reshape(p // 2, -1)
+        for lo, hi in _row_blocks(len(rows), p):
+            flat[:, lo:hi] = (rows[lo:hi] @ fwd).view(np.complex128).T
+
+    spectrum = _orbit_spectrum(fill, (1, 1), p, counts.ndim - 1, sign, params)
+    _round_counts(spectrum.reshape(p // 2, -1), rows.reshape(p ** params, -1).sum(axis=1),
+                  p, rows)
     return rows.reshape(counts.shape)
 
 
@@ -441,32 +446,6 @@ def _zeta_powers(p: int) -> np.ndarray:
     """zeta^(t s) for t < p, 1 <= s <= p//2 as float pairs, (p, 2 (p//2))."""
     st = np.outer(np.arange(p), np.arange(1, p // 2 + 1))
     return np.ascontiguousarray(zeta_table(p)[st % p]).view(np.float64)
-
-
-def _half_spectrum(rows: np.ndarray, p: int, n: int, sign: int, params: int = 0):
-    """`cyclo_dft` up to the rounding: count rows (p^n, p) to the permuted
-    spectrum, shape (p//2,) + (p,)*n, and the int64 total count of each
-    of the p^params fibers."""
-    half = p // 2
-    spectrum = np.empty((half,) + (p,) * n, dtype=np.complex128)
-    flat, fwd = spectrum.reshape(half, -1), _zeta_powers(p)
-    for lo, hi in _row_blocks(len(rows), p):
-        flat[:, lo:hi] = (rows[lo:hi] @ fwd).view(np.complex128).T
-    for axis in range(params, n):
-        np.fft.ifft(spectrum, axis=1 + axis, norm="forward", out=spectrum)
-    _gather(flat, [(s, s, s * sign, False) for s in range(1, half + 1)], p, n, params)
-    return spectrum, rows.reshape(p ** params, -1).sum(axis=1)
-
-
-def _gather(flat: np.ndarray, plan, p: int, n: int, params: int):
-    """flat[slot - 1] = flat[source - 1] read at (c h) mod p on the last
-    n - params axes, conjugated if conj, for each plan entry in order."""
-    for slot, source, c, conj in plan:
-        if c % p != 1 or source != slot or conj:
-            np.take(flat[source - 1], _scaled_index(c % p, p, n, params),
-                    out=flat[slot - 1])
-            if conj:
-                np.conjugate(flat[slot - 1], out=flat[slot - 1])
 
 
 def _scaling(weight: np.ndarray, idx: np.ndarray, p: int, params: int = 0):
@@ -490,32 +469,51 @@ def _scaling(weight: np.ndarray, idx: np.ndarray, p: int, params: int = 0):
     return gen, t
 
 
-def _orbit_spectrum(weight: np.ndarray, idx: np.ndarray, p: int, sign: int, params: int = 0):
-    """`_half_spectrum` of the field weight[x] at zeta^idx[x] by orbits, or
-    None if `_scaling` finds no symmetry.  With F_u the transform of
-    weight zeta^(u idx), (g, t) gives F_u(k) = F_r(g^m k) for u = r t^(-m),
-    and F_(p-u)(k) = conj(F_u(-k)).  Each orbit's representative r <= p//2
-    is a table lookup transformed in its own slot, which the orbit's slots
-    s = u or p - u (conjugated) read at (g^m u sign h) mod p."""
-    if (scaling := _scaling(weight, idx, p, params)) is None:
-        return None
-    (g, t), n, half = scaling, idx.ndim, p // 2
-    spectrum = np.empty((half,) + (p,) * n, dtype=np.complex128)
-    plan = {}  # slot -> (slot, representative r, c, conj)
+def _lookup(weight: np.ndarray, idx: np.ndarray, p: int):
+    """The `_orbit_spectrum` fill of the field weight[x] at zeta^idx[x]:
+    slot r - 1 gets weight zeta^(r idx) by table lookup."""
+    def fill(spectrum, reps):
+        for r in reps:  # a view of the slot, also when it is 0-dimensional
+            np.multiply(zeta_table(p)[r * idx % p], weight, out=spectrum[r - 1, ...])
+    return fill
+
+
+def _orbit_spectrum(fill, scaling, p: int, n: int, sign: int, params: int = 0):
+    """The permuted half-spectrum of a field over (p,)*n, shape
+    (p//2,) + (p,)*n: slot s - 1 holds its transform at zeta^s over the
+    last n - params axes, read at (s sign h) mod p, as in `cyclo_dft`.
+
+    With F_u the transform of the field at zeta^u, a scaling (g, t) of
+    the points (`_scaling`) gives F_u(k) = F_r(g^m k) for u = r t^(-m),
+    and F_(p-u)(k) = conj(F_u(-k)).  fill(spectrum, reps) writes the field
+    at zeta^r into slot r - 1 for each orbit's representative r <= p//2;
+    each is transformed in place, and the orbit's slots s = u or p - u
+    (conjugated) read it at (g^m u sign h) mod p, its own slot last.  On
+    the trivial orbit (1, 1) every slot is its own representative."""
+    (g, t), half = scaling, p // 2
+    plan = {}  # slot -> (representative r, c, conj)
     for r in range(1, half + 1):
         if r in plan:
             continue
-        np.multiply(zeta_table(p)[r * idx % p], weight, out=spectrum[r - 1])
-        for axis in range(params, n):
-            np.fft.ifft(spectrum[r - 1], axis=axis, norm="forward", out=spectrum[r - 1])
         for m in range(p - 1):  # u = r t^(-m) until its slot repeats
             u = r * pow(t, -m, p) % p
             if (slot := min(u, p - u)) in plan:
                 break
-            plan[slot] = (slot, r, pow(g, m, p) * u * sign, u > half)
-    _gather(spectrum.reshape(half, -1),  # representatives' own slots last
-            sorted(plan.values(), key=lambda e: e[0] == e[1]), p, n, params)
-    return spectrum, weight.reshape(p ** params, -1).sum(axis=1)
+            plan[slot] = (r, pow(g, m, p) * u * sign, u > half)
+    spectrum = np.empty((half,) + (p,) * n, dtype=np.complex128)
+    reps = [s for s, (r, _, _) in plan.items() if s == r]
+    fill(spectrum, reps)
+    for r in reps:
+        field = spectrum[r - 1, ...]
+        for axis in range(params, n):
+            np.fft.ifft(field, axis=axis, norm="forward", out=field)
+    flat = spectrum.reshape(half, -1)
+    for slot, (r, c, conj) in sorted(plan.items(), key=lambda e: e[0] == e[1][0]):
+        if c % p != 1 or r != slot or conj:
+            np.take(flat[r - 1], _scaled_index(c % p, p, n, params), out=flat[slot - 1])
+            if conj:
+                np.conjugate(flat[slot - 1], out=flat[slot - 1])
+    return spectrum
 
 
 def _round_counts(flat: np.ndarray, totals: np.ndarray, p: int, rows: np.ndarray):
@@ -588,10 +586,16 @@ class SumGrid:
             magic = fh.read(4)
             if magic != cls._MAGIC:
                 raise ParseError(f"bad grid magic {magic!r}")
-            p, n, kind = struct.unpack("<IIB", fh.read(9))
+            header = fh.read(9)
+            if len(header) < 9:
+                raise ParseError("grid header ends early")
+            p, n, kind = struct.unpack("<IIB", header)
             payload = np.fromfile(fh, dtype=np.int64 if kind else np.complex128)
             if fh.read(1):
                 raise ParseError("grid payload ends in a partial value")
+        dims = n + (1 if kind else 0)  # p^dims values; p >= 2 bounds dims by the size
+        if dims > payload.size.bit_length() or payload.size != p ** dims:
+            raise ParseError(f"grid payload holds {payload.size} values, not {p}^{dims}")
         if kind:
             counts = payload.reshape((p,) * n + (p,))
             return cls(p=p, n=n, values=_render(counts, p), counts=counts)
@@ -699,11 +703,11 @@ def _product_spectrum(spec: SumSpec, blocks: list[list[int]], p: int, sign: int)
     parts, total = [], 1
     for k, block in enumerate(blocks):
         _, weight, idx = trace_function_grid(_block_spec(spec, block, k == 0), p)
-        part, count = _orbit_spectrum(weight, idx, p, sign) or _half_spectrum(
-            _count_field(weight, idx, p).reshape(-1, p), p, len(block), sign)
+        part = _orbit_spectrum(_lookup(weight, idx, p), _scaling(weight, idx, p) or (1, 1),
+                               p, len(block), sign)
         shape = [p if i in block else 1 for i in range(n)] + [half]
         parts.append(np.moveaxis(part, 0, -1).reshape(shape))
-        total *= count
+        total *= weight.reshape(1, -1).sum(axis=1)
     return reduce(np.multiply, parts).reshape(-1, half).T, total
 
 
@@ -716,19 +720,21 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
 
     With params = k (exact specs only, never split) the first k variables a
     are not transformed: the grid at (a, h) is S_a(h), the sum over the
-    fiber at a, every fiber in one `cyclo_dft` call.
+    fiber at a, every fiber in one transform.
 
-    An exact grid with a scaling symmetry (`_scaling`) transforms one field
-    per orbit of zeta powers (`_orbit_spectrum`); any other scatters
+    Every exact half-spectrum comes from `_orbit_spectrum`.  A field with
+    a scaling symmetry (`_scaling`) transforms one table lookup
+    weight zeta^(r idx) per orbit of zeta powers, and the spectrum is
+    rounded here into a new count array.  A field without one scatters
     weight[x] to zeta power idx[x] of a count field and transforms it in
-    place with `cyclo_dft`.  If the spec factors over variable blocks
-    (`_var_blocks`) and p^(n+1) > _BLOCK, the spectrum is the product of
-    the blocks' spectra, each built the same way (`_product_spectrum`):
-    block count masses multiply to the whole field's, so the rounding bound
-    holds.  Both kinds of spectrum are rounded here into a new count
-    array.  Either way it peaks at two count fields; over the same row
-    blocks (`_render`) each cell is put in canonical form (min coefficient
-    0, so exact zeros render as 0) and rendered."""
+    place with `cyclo_dft`, the trivial orbit.  If the spec factors over
+    variable blocks (`_var_blocks`) and p^(n+1) > _BLOCK, the spectrum is
+    the product of the blocks' spectra (`_product_spectrum`), each block's
+    by table lookup, on the trivial orbit if it has no symmetry: block
+    count masses multiply to the whole field's, so the rounding bound
+    holds.  Every path peaks at two count fields; over the same row blocks
+    (`_render`) each cell is put in canonical form (min coefficient 0, so
+    exact zeros render as 0) and rendered."""
     n = spec.nvars
     if spec.linear_form is not None and any(spec.linear_form):
         raise ValueError("complete_grid sweeps all h; fix the spec's linear form to None")
@@ -743,18 +749,20 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     blocks = (_var_blocks(spec) if spec.is_exact() and not params
               and p ** (n + 1) > _BLOCK else [])
     if len(blocks) > 1:
-        built = _product_spectrum(spec, blocks, p, sign)
+        spectrum, totals = _product_spectrum(spec, blocks, p, sign)
     else:
         data = trace_function_grid(spec, p)
         if data[0] == "complex":
             return SumGrid(p=p, n=n, values=dft_grid(data[1], p, sign))
-        built = _orbit_spectrum(data[1], data[2], p, sign, params)
-    if built is None:
-        counts = cyclo_dft(_count_field(data[1], data[2], p), p, sign, params=params)
-    else:  # the spectrum is freed before the render
-        counts = np.empty((p,) * n + (p,), dtype=np.int64)
-        _round_counts(built[0].reshape(p // 2, -1), built[1], p, counts.reshape(-1, p))
-        del built
+        _, weight, idx = data
+        if (scaling := _scaling(weight, idx, p, params)) is None:
+            counts = cyclo_dft(_count_field(weight, idx, p), p, sign, params=params)
+            return SumGrid(p=p, n=n, values=_render(counts, p, canonical=True), counts=counts)
+        spectrum = _orbit_spectrum(_lookup(weight, idx, p), scaling, p, n, sign, params)
+        totals = weight.reshape(p ** params, -1).sum(axis=1)
+    counts = np.empty((p,) * n + (p,), dtype=np.int64)
+    _round_counts(spectrum.reshape(p // 2, -1), totals, p, counts.reshape(-1, p))
+    del spectrum  # freed before the render
     return SumGrid(p=p, n=n, values=_render(counts, p, canonical=True), counts=counts)
 
 

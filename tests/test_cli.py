@@ -142,6 +142,20 @@ def test_verify_reversed_chain_exit_4(capsys, tmp_path):
     assert "invalid chain" in err
 
 
+def test_verify_chain_codims_mismatch_exit_2(capsys, tmp_path):
+    # a codim list shorter than the strata must not truncate the chain
+    chain_path = tmp_path / "short.json"
+    payload = {"schema": 1, "ambient_n": 2,
+               "strata": [["x1"], ["x1", "x2"], ["x1", "x2"]],
+               "claimed_codims": [1]}
+    chain_path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "verify", "--chain", str(chain_path),
+                       "--p", "3", "--variety", "x1", "--n", "2",
+                       "--C", "1", "--d", "1")
+    assert code == 2
+    assert "3 strata but 1 claimed codims" in err
+
+
 def test_verify_fail_exit_1(capsys, tmp_path):
     chain_path = tmp_path / "chain.json"
     VarietyChain(3, [AffineVariety(3, [parse_poly("x1", nvars=3)])]).save(chain_path)
@@ -198,6 +212,15 @@ def test_catalog_build_linear_space(capsys, tmp_path):
 def test_catalog_unknown_exit_2(capsys):
     code, _, err = run(capsys, "catalog", "build", "nope")
     assert code == 2
+
+
+def test_catalog_unknown_parameter_exit_2(capsys):
+    # a misspelled parameter is refused, not replaced by its default
+    for name, params, known in [("quadric_blocks", "n_block=2", "n_blocks"),
+                                ("diagonal_quadratic", "n=4,coefs=1:2:3:5", "n, coeffs")]:
+        code, out, err = run(capsys, "catalog", "build", name, "--params", params)
+        assert code == 2 and out == ""
+        assert f"known: {known}" in err
 
 
 def test_catalog_chain_feeds_verify_end_to_end(capsys, tmp_path):

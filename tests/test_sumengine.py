@@ -11,7 +11,7 @@ import pytest
 
 from stratsums import sumengine
 from stratsums.cyclo import CycloValue, zeta_table
-from stratsums.errors import CapExceeded
+from stratsums.errors import CapExceeded, ParseError
 from stratsums.ffield import FieldCtx, next_irreducible
 from stratsums.polyring import AffineVariety, IntPolynomial, parse_poly
 from stratsums.sumengine import (
@@ -506,21 +506,29 @@ def test_complete_grid_matches_count_field_transform(monkeypatch):
                 assert np.array_equal(grid.counts, counts), (spec, p, k, sign)
                 assert np.array_equal(grid.values, values), (spec, p, k, sign)
     assert orbit > 150
-    # split grids: every block through the same dispatch
+    # split grids: every block through the orbit transform, the trivial
+    # orbit for a block without symmetry ({x1, x2} of x1^2*x2 + x1 at
+    # p > 3), and never through a count field
+    def no_count_field(*args):
+        raise AssertionError("a split grid built a count field")
+
     monkeypatch.setattr(sumengine, "_BLOCK", SPLIT)
     for p in (3, 5, 7, 11, 13):
         split = [SumSpec(nvars=2, additive_phase=parse_poly("x1^2 + 3*x2^3", 2)),
                  SumSpec(nvars=3, additive_phase=parse_poly("x1*x2 + x3^2", 3)),
                  SumSpec(nvars=3, variety=AffineVariety(3, [parse_poly("x1^2 - 2*x2^2", 3)]),
                          additive_phase=parse_poly("x3 + 1", 3)),
-                 SumSpec(nvars=3, torus=True, additive_phase=parse_poly("x1 + x2^2 - x3^3", 3))]
+                 SumSpec(nvars=3, torus=True, additive_phase=parse_poly("x1 + x2^2 - x3^3", 3)),
+                 SumSpec(nvars=4, additive_phase=parse_poly("x1^2*x2 + x1 + x3*x4", 4))]
         for spec in split:
             assert len(sumengine._var_blocks(spec)) > 1
             for sign in (1, -1):
                 with monkeypatch.context() as m:
                     m.setattr(sumengine, "_BLOCK", WHOLE)
                     counts, values = _reference_grid(spec, p, sign)
-                grid = complete_grid(spec, p, sign)
+                with monkeypatch.context() as m:
+                    m.setattr(sumengine, "_count_field", no_count_field)
+                    grid = complete_grid(spec, p, sign)
                 assert np.array_equal(grid.counts, counts), (spec, p, sign)
                 assert np.array_equal(grid.values, values), (spec, p, sign)
 
@@ -528,7 +536,8 @@ def test_complete_grid_matches_count_field_transform(monkeypatch):
 def test_complete_grid_transforms_one_field_per_orbit(monkeypatch):
     # a cubic at p = 13 has 3 orbits of zeta powers s, -s under s -> g^3 s;
     # a phase-free field is one orbit, also over the last n - k axes; the
-    # mixed-degree x1^2 + x2 goes through cyclo_dft and its whole spectrum
+    # mixed-degree x1^2 + x2 goes through cyclo_dft, the trivial orbit: one
+    # field per zeta power s <= p//2
     ifft, calls, dft_calls = np.fft.ifft, [], []
 
     def ifft_shapes(a, *args, **kwargs):
@@ -548,7 +557,7 @@ def test_complete_grid_transforms_one_field_per_orbit(monkeypatch):
             (cubic, 13, 0, [((13, 13), 0), ((13, 13), 1)] * 3, False),
             (quadric, 5, 0, [((5, 5, 5), 0), ((5, 5, 5), 1), ((5, 5, 5), 2)], False),
             (quadric, 5, 1, [((5, 5, 5), 1), ((5, 5, 5), 2)], False),
-            (mixed, 5, 0, [((2, 5, 5), 1), ((2, 5, 5), 2)], True)]:
+            (mixed, 5, 0, [((5, 5), 0), ((5, 5), 1)] * 2, True)]:
         calls.clear()
         dft_calls.clear()
         complete_grid(spec, p, params=k)
@@ -925,9 +934,10 @@ def test_binary_round_trip(tmp_path):
     assert np.array_equal(back.counts, grid.counts)
     assert np.allclose(back.values, grid.values)
     dump = path.read_bytes()
-    for tail in (b"xyz", bytes(8)):  # a partial value, one value too many
-        path.write_bytes(dump + tail)
-        with pytest.raises(ValueError):
+    # a partial value, one value too many, one too few, a cut header
+    for bad in (dump + b"xyz", dump + bytes(8), dump[:-8], dump[:10]):
+        path.write_bytes(bad)
+        with pytest.raises(ParseError):
             SumGrid.from_binary(path)
 
 
