@@ -174,6 +174,12 @@ def linear_space(n: int, basis: list | None = None) -> CatalogEntry:
     The default basis is e_3, ..., e_n."""
     if basis is None:
         basis = [[int(i == j) for i in range(n)] for j in range(2, n)]
+    elif np.ndim(basis) < 2:  # a flat list, as `catalog build --params` writes it
+        flat = np.ravel(basis).tolist()
+        if len(flat) % n:
+            raise ValueError(f"a flat basis needs a multiple of n={n} entries, "
+                             f"not {len(flat)}")
+        basis = [flat[i:i + n] for i in range(0, len(flat), n)]
     basis = [list(b) for b in basis]
     if len(basis) != n - 2 or _matrix_rank(basis, n) != n - 2:
         raise ValueError(f"basis must span a {n - 2}-dimensional subspace")

@@ -84,19 +84,16 @@ def _build_spec(args) -> SumSpec:
     f = None
     if getattr(args, "f", None):
         f = parse_poly(args.f, nvars=nvars)
-        nvars = f.nvars if nvars is None else nvars
+        nvars = f.nvars
     twist = None
     if getattr(args, "g", None):
         if not args.chi_order:
             raise ParseError("--g needs --chi-order")
         g = parse_poly(args.g, nvars=nvars)
-        nvars = g.nvars if nvars is None else max(nvars, g.nvars)
-        g = parse_poly(args.g, nvars=nvars)
+        nvars = g.nvars
         twist = (g, args.chi_order, args.chi_index)
     if nvars is None:
         raise ParseError("cannot infer the number of variables; pass --n")
-    if f is not None and f.nvars < nvars:
-        f = parse_poly(args.f, nvars=nvars)
     return SumSpec(nvars=nvars, variety=variety, additive_phase=f,
                    mult_twist=twist, torus=getattr(args, "torus", False))
 

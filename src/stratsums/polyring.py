@@ -2,9 +2,11 @@
 
 Coefficients are arbitrary-precision ints so that height experiments are not
 width-limited.  Evaluation happens either over Z (specialization) or mod p
-through a field context.  The text format uses variables x1..xn plus an
-optional leading variable y (used for fiber root counting), `^` powers and
-`*` products, e.g. ``y^2 - x1*x2 - 1``; parse/print round-trips exactly.
+through a field context.  The text format is a sum of terms, each
+``sign* factor ('*' factor)*`` with a sign on every term after the first; a
+factor is an integer, or x1..xn or an optional leading y (used for fiber root
+counting) with an optional ``^<int>``, e.g. ``y^2 - x1*x2 - 1``.  A dangling
+sign or '*' is a ParseError; parse/print round-trips exactly.
 """
 
 from __future__ import annotations
@@ -246,111 +248,59 @@ def homogeneous_closure(V: AffineVariety) -> AffineVariety:
 
 # -- text format -------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>y|x\d+)|(?P<op>[-+*^]))")
+# parse_poly's factor and term; whitespace may separate any two pieces
+_FACTOR = re.compile(r"(\d+)|(y|x\d+)(?:\s*\^\s*(\d+))?")
+_TERM = re.compile(r"\s*(?P<signs>(?:[-+]\s*)*)"
+                   r"(?P<product>(?:{0})(?:\s*\*\s*(?:{0}))*)\s*".format(_FACTOR.pattern))
 
 
 def parse_poly(text: str, nvars: int | None = None,
                y_var: bool | None = None) -> IntPolynomial:
-    """Parse the linear-combination-of-monomials format.
+    """Parse a sum of terms: ``sign* factor ('*' factor)*``, where every term
+    after the first needs at least one sign and a factor is an integer, or
+    ``y`` / ``x<k>`` with an optional ``^<int>``.  The terms must consume the
+    whole text, so a dangling sign or '*' is a ParseError.
 
     Variables are x1..xn; if `y` occurs (or y_var=True) it becomes variable 0
     and x_i maps to index i, otherwise x_i maps to index i-1.  nvars widens
     the ambient space when the text mentions fewer variables.
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad token at {text[pos:]!r}")
-            break
-        pos = m.end()
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind)))
-    if not tokens:
+    if not text.strip():
         raise ParseError("empty polynomial text")
+    parsed, pos = [], 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if m is None or (parsed and not m["signs"]):
+            raise ParseError(f"bad polynomial text at {text[pos:]!r}")
+        parsed.append((m["signs"].count("-") % 2, _FACTOR.findall(m["product"])))
+        pos = m.end()
 
-    uses_y = any(k == "var" and v == "y" for k, v in tokens)
+    names = {name for _, factors in parsed for _, name, _ in factors if name}
     if y_var is None:
-        y_var = uses_y
-    if uses_y and not y_var:
+        y_var = "y" in names
+    if "y" in names and not y_var:
         raise ParseError("y appears but y_var=False was forced")
-    max_x = 0
-    for k, v in tokens:
-        if k == "var" and v.startswith("x"):
-            idx = int(v[1:])
-            if idx < 1:
-                raise ParseError(f"variable {v} out of range (x1 is first)")
-            max_x = max(max_x, idx)
-    inferred = max_x + (1 if y_var else 0)
+    xs = [int(name[1:]) for name in names - {"y"}]
+    if min(xs, default=1) < 1:
+        raise ParseError("variable x0 out of range (x1 is first)")
+    inferred = max(xs, default=0) + int(y_var)
     if nvars is None:
         # constants default to one ambient variable
         nvars = max(inferred, 1)
     elif nvars < inferred:
         raise ParseError(f"nvars={nvars} too small for {inferred} variables")
 
-    def var_index(name: str) -> int:
-        if name == "y":
-            return 0
-        return int(name[1:]) - 1 + (1 if y_var else 0)
-
     terms: dict = {}
-    i = 0
-    n_tok = len(tokens)
-
-    def flush(sign, coeff, exps, seen_any):
-        if not seen_any:
-            raise ParseError("dangling sign or operator")
+    for negative, factors in parsed:
+        coeff, exps = -1 if negative else 1, [0] * nvars
+        for number, name, power in factors:
+            if number:
+                coeff *= int(number)
+            else:
+                i = 0 if name == "y" else int(name[1:]) - 1 + int(y_var)
+                exps[i] += int(power or 1)
         key = tuple(exps)
-        terms[key] = terms.get(key, 0) + sign * coeff
-
-    while i < n_tok:
-        sign = 1
-        while i < n_tok and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        coeff = 1
-        exps = [0] * nvars
-        seen = False
-        expect_factor = True
-        while i < n_tok:
-            kind, val = tokens[i]
-            if kind == "int":
-                if not expect_factor:
-                    raise ParseError("two factors without '*'")
-                coeff *= int(val)
-                seen = True
-                i += 1
-                expect_factor = False
-            elif kind == "var":
-                if not expect_factor:
-                    raise ParseError("two factors without '*'")
-                vi = var_index(val)
-                e = 1
-                i += 1
-                if i < n_tok and tokens[i] == ("op", "^"):
-                    i += 1
-                    if i >= n_tok or tokens[i][0] != "int":
-                        raise ParseError("'^' needs an integer exponent")
-                    e = int(tokens[i][1])
-                    i += 1
-                exps[vi] += e
-                seen = True
-                expect_factor = False
-            elif kind == "op" and val == "*":
-                if expect_factor:
-                    raise ParseError("misplaced '*'")
-                expect_factor = True
-                i += 1
-            elif kind == "op" and val == "^":
-                raise ParseError("'^' must follow a variable")
-            else:  # + or - terminates the monomial
-                if expect_factor and seen:
-                    raise ParseError("dangling '*' before a sign")
-                break
-        flush(sign, coeff, exps, seen)
+        terms[key] = terms.get(key, 0) + coeff
     return IntPolynomial(nvars, terms)
 
 

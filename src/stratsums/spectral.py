@@ -18,7 +18,7 @@ import numpy as np
 
 from .cyclo import CycloValue, zeta_table
 from .errors import CapExceeded, DEFAULT_ENUM_CAP, RankTooHigh
-from .ffield import FieldCtx, least_irreducible, next_irreducible
+from .ffield import FieldCtx
 from .polyring import IntPolynomial
 from .sumengine import SumSpec, SumValue
 
@@ -35,17 +35,6 @@ class PowerSumSequence:
     @property
     def N(self) -> int:
         return len(self.values)
-
-
-def _extension_ctx(p: int, n: int, modulus_choice: str, cap: int) -> FieldCtx:
-    if modulus_choice == "least":
-        return FieldCtx(p, n, cap=cap)
-    if modulus_choice == "second":
-        if n == 1:
-            return FieldCtx(p, 1, cap=cap)
-        alt = next_irreducible(p, n, least_irreducible(p, n))
-        return FieldCtx(p, n, modulus=alt, cap=cap)
-    raise ValueError(f"unknown modulus choice {modulus_choice!r}")
 
 
 def generator_power_traces(ctx: FieldCtx) -> np.ndarray:
@@ -249,10 +238,9 @@ def extension_sum(spec: SumSpec, ctx: FieldCtx,
 
 
 def extension_sums(spec: SumSpec, p: int, N: int,
-                   modulus_choice: str = "least",
                    cap: int = DEFAULT_ENUM_CAP) -> PowerSumSequence:
-    """S_1..S_N over the degree-1..N extensions.  Power sums are independent
-    of the modulus model; `modulus_choice="second"` exists to test that."""
+    """S_1..S_N over the degree-1..N extensions, each in the field built on
+    the least irreducible modulus.  Power sums do not depend on that model."""
     if N < 1:
         raise ValueError("N must be >= 1")
     values, cyclos = [], []
@@ -260,7 +248,7 @@ def extension_sums(spec: SumSpec, p: int, N: int,
         if p ** (n * spec.nvars) > cap:
             raise CapExceeded(
                 f"extension enumeration {p}^{n * spec.nvars} exceeds cap {cap}")
-        ctx = _extension_ctx(p, n, modulus_choice, cap=max(cap, p ** n))
+        ctx = FieldCtx(p, n, cap=max(cap, p ** n))
         out = extension_sum(spec, ctx, cap=cap)
         values.append(out.value)
         cyclos.append(out.cyclo)

@@ -590,6 +590,8 @@ class SumGrid:
             if len(header) < 9:
                 raise ParseError("grid header ends early")
             p, n, kind = struct.unpack("<IIB", header)
+            if kind not in (0, 1):
+                raise ParseError(f"unknown grid kind {kind}")
             payload = np.fromfile(fh, dtype=np.int64 if kind else np.complex128)
             if fh.read(1):
                 raise ParseError("grid payload ends in a partial value")

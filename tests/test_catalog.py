@@ -242,6 +242,17 @@ def test_quadric_blocks_two_p3_verify():
             assert abs(got - want) < 1e-6
 
 
+def test_quadric_blocks_three_p3_verify():
+    # no chain for three blocks: the strata come from the entry's own masks
+    entry = quadric_blocks(3)
+    assert entry.chain is None
+    report = entry.verify(3)
+    assert report.passed, report.table()
+    assert sum(r.count for r in report.records) == 3 ** 12
+    ok, rows = entry.check_expected(report)
+    assert ok, rows
+
+
 def test_quadric_blocks_two_p5_verify():
     entry = quadric_blocks(2)
     grid = entry.grid(5)

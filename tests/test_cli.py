@@ -49,9 +49,10 @@ def test_sum_with_multiplicative_twist(capsys):
 
 
 def test_sum_parse_failure_exit_2(capsys):
-    code, _, err = run(capsys, "sum", "--p", "3", "--f", "x^^2", "--h", "0")
-    assert code == 2
-    assert "parse error" in err
+    for f in ("x^^2", "x1*"):
+        code, _, err = run(capsys, "sum", "--p", "3", "--f", f, "--h", "0")
+        assert code == 2
+        assert "parse error" in err
 
 
 def test_sum_cap_exceeded_exit_3(capsys):
@@ -207,6 +208,19 @@ def test_catalog_build_linear_space(capsys, tmp_path):
     assert "PASS" in out and "OK" in out
     loaded = VarietyChain.load(chain_out)
     assert loaded.ambient == 3
+
+
+def test_catalog_build_linear_space_flat_basis(capsys, tmp_path):
+    # --params writes a flat list: it is read as rows of length n
+    code, out, _ = run(capsys, "catalog", "build", "linear_space",
+                       "--params", "n=3,basis=1:1:1", "--p", "5",
+                       "--report-out", str(tmp_path / "rep"))
+    assert code == 0
+    assert "PASS" in out and "OK" in out
+    code, out, err = run(capsys, "catalog", "build", "linear_space",
+                         "--params", "n=3,basis=1:0")
+    assert code == 2 and out == ""
+    assert "multiple of n=3" in err
 
 
 def test_catalog_unknown_exit_2(capsys):

@@ -194,6 +194,15 @@ def test_parse_errors():
         parse_poly("2*-3")
     with pytest.raises(ParseError):
         parse_poly("x1 2")
+    # a trailing '*' after a term or a constant, with or without a space
+    for text in ("x1*", "x1* ", "x1 + x2*", "3*", "3 * ", "x1 - 3*"):
+        with pytest.raises(ParseError):
+            parse_poly(text)
+    for text in ("x0", "x1 + x0^2", "2^3", "x1 + 2^3"):
+        with pytest.raises(ParseError):
+            parse_poly(text)
+    with pytest.raises(ParseError):
+        parse_poly("y + x1", y_var=False)
 
 
 def test_y_variable_maps_to_index_zero():

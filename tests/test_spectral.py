@@ -10,7 +10,12 @@ import pytest
 
 from stratsums import sumengine
 from stratsums.errors import RankTooHigh
-from stratsums.ffield import FieldCtx, quadratic_gauss_sum
+from stratsums.ffield import (
+    FieldCtx,
+    least_irreducible,
+    next_irreducible,
+    quadratic_gauss_sum,
+)
 from stratsums.polyring import AffineVariety, IntPolynomial, parse_poly
 from stratsums.spectral import (
     PowerSumSequence,
@@ -323,17 +328,19 @@ def test_rank_too_high_errors():
 
 
 def test_model_independence_of_power_sums():
-    # S_n must not depend on the irreducible modulus model
+    # S_n must not depend on the irreducible modulus model: the least modulus
+    # (extension_sums) and the next one give the same exact values
     specs = (KLOOSTERMAN,
              SumSpec(nvars=1, additive_phase=parse_poly("x1^3 + x1")),
              SumSpec(nvars=2, variety=AffineVariety(2, [parse_poly("x1^2 + x2^2")]),
                      additive_phase=parse_poly("x1*x2", nvars=2)))
     for spec in specs:
         N = 3 if spec.nvars == 2 else 4
-        a = extension_sums(spec, 5, N, modulus_choice="least")
-        b = extension_sums(spec, 5, N, modulus_choice="second")
-        for ca, cb in zip(a.cyclos, b.cyclos):
-            assert ca == cb
+        seq = extension_sums(spec, 5, N)
+        for n in range(2, N + 1):
+            alt = next_irreducible(5, n, least_irreducible(5, n))
+            ctx = FieldCtx(5, n, modulus=alt)
+            assert extension_sum(spec, ctx).cyclo == seq.cyclos[n - 1]
 
 
 def test_snap_weight_grid():

@@ -934,8 +934,10 @@ def test_binary_round_trip(tmp_path):
     assert np.array_equal(back.counts, grid.counts)
     assert np.allclose(back.values, grid.values)
     dump = path.read_bytes()
-    # a partial value, one value too many, one too few, a cut header
-    for bad in (dump + b"xyz", dump + bytes(8), dump[:-8], dump[:10]):
+    # a partial value, one value too many, one too few, a cut header, and a
+    # kind byte the format does not define
+    for bad in (dump + b"xyz", dump + bytes(8), dump[:-8], dump[:10],
+                dump[:12] + bytes([7]) + dump[13:]):
         path.write_bytes(bad)
         with pytest.raises(ParseError):
             SumGrid.from_binary(path)
