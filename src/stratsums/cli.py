@@ -74,13 +74,10 @@ def _build_spec(args) -> SumSpec:
     nvars = args.n
     if getattr(args, "variety", None):
         gens = [g for g in args.variety.split(",") if g.strip()]
-        polys = [parse_poly(g) for g in gens]
-        nv = max(f.nvars for f in polys)
-        if nvars is not None:
-            nv = max(nv, nvars)
-        polys = [parse_poly(g, nvars=nv) for g in gens]
-        variety = AffineVariety(nv, polys)
-        nvars = nv
+        if nvars is None:
+            nvars = max(parse_poly(g).nvars for g in gens)
+        # a generator in more variables than --n is a parse error, as for --f
+        variety = AffineVariety(nvars, [parse_poly(g, nvars=nvars) for g in gens])
     f = None
     if getattr(args, "f", None):
         f = parse_poly(args.f, nvars=nvars)

@@ -42,6 +42,7 @@ class VarietyChain:
     def __init__(self, ambient: int, strata, check_primes=(2, 3)):
         self.ambient = ambient
         self.strata = list(strata)
+        self._masks = {}  # p -> the strata's read-only masks over F_p
         for V in self.strata:
             if V.nvars != ambient:
                 raise ValueError("stratum ambient dimension mismatch")
@@ -61,13 +62,16 @@ class VarietyChain:
 
     def masks(self, p: int) -> list[np.ndarray]:
         """Read-only boolean membership grids over F_p^ambient, one per
-        stratum; equal generator lists are evaluated once and share a grid."""
-        grids = {}
-        for V in self.strata:
-            if V.generators not in grids:
-                grids[V.generators] = variety_mask(V, p, self.ambient)
-                grids[V.generators].flags.writeable = False
-        return [grids[V.generators] for V in self.strata]
+        stratum; equal generator lists are evaluated once and share a grid,
+        and each prime's grids are built once and kept on the chain."""
+        if p not in self._masks:
+            grids = {}
+            for V in self.strata:
+                if V.generators not in grids:
+                    grids[V.generators] = variety_mask(V, p, self.ambient)
+                    grids[V.generators].flags.writeable = False
+            self._masks[p] = [grids[V.generators] for V in self.strata]
+        return list(self._masks[p])
 
     def stratum_index(self, h, p: int) -> int:
         """Largest i with h in X_i(F_p), 0 when h avoids the whole chain;

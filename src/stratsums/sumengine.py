@@ -23,6 +23,11 @@ serve as the other's oracle:
   blocks' transforms (`_product_spectrum`).  With `params=k` the first k
   point axes are family parameters: only the last n - k are transformed,
   so one call builds every fiber of a family, each rounded on its own.
+  The symmetry also quotients the grid: rows in one orbit of a diagonal
+  scaling h -> lam h (`_diagonal_scaling`, split blocks combined over a
+  common t) are column permutations of each other; one row per orbit is
+  rounded, `values` renders the permuted rows, and the count array is
+  built from them when `SumGrid.counts` is first read.
 
 Purely additive sums are carried exactly as zeta_p-coefficient counts
 (`CycloValue`), so identity checks are bit-exact rather than tolerance-based.
@@ -31,6 +36,7 @@ Purely additive sums are carried exactly as zeta_p-coefficient counts
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from array import array
 from dataclasses import dataclass, replace
@@ -379,13 +385,12 @@ def _render(counts: np.ndarray, p: int, canonical: bool = False) -> np.ndarray:
     return values.reshape(counts.shape[:-1])
 
 
-def _scaled_index(c: int, p: int, n: int, params: int = 0) -> np.ndarray:
-    """Flat index of (c h) mod p for every h in row-major (p,)*n order, the
-    first `params` coordinates of h left as they are."""
+def _scaled_index(scale: np.ndarray, p: int) -> np.ndarray:
+    """Flat index of (scale_i h_i mod p), one multiplier per axis, for every
+    h in row-major (p,)*n order."""
     idx = np.zeros(1, dtype=np.int64)
-    for axis in range(n):
-        perm = np.arange(p) if axis < params else (c * np.arange(p)) % p
-        idx = (idx[:, None] * p + perm).ravel()
+    for c in scale.tolist():
+        idx = (idx[:, None] * p + c * np.arange(p) % p).ravel()
     return idx
 
 
@@ -431,14 +436,14 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1, params: int = 0) -> np.
     rows = np.ascontiguousarray(counts, dtype=np.int64).reshape(-1, p)
     fwd = _zeta_powers(p)
 
-    def fill(spectrum, reps):  # reps: every slot
-        flat = spectrum.reshape(p // 2, -1)
+    def fill(fields, reps):  # reps: every slot
+        flat = fields.reshape(p // 2, -1)
         for lo, hi in _row_blocks(len(rows), p):
             flat[:, lo:hi] = (rows[lo:hi] @ fwd).view(np.complex128).T
 
     spectrum = _orbit_spectrum(fill, (1, 1), p, counts.ndim - 1, sign, params)
-    _round_counts(spectrum.reshape(p // 2, -1), rows.reshape(p ** params, -1).sum(axis=1),
-                  p, rows)
+    totals = rows.reshape(p ** params, -1).sum(axis=1)
+    _round_counts(spectrum, np.repeat(totals, len(rows) // len(totals)), p, rows)
     return rows.reshape(counts.shape)
 
 
@@ -460,7 +465,7 @@ def _scaling(weight: np.ndarray, idx: np.ndarray, p: int, params: int = 0):
     at = int(np.argmax(phased))
     if not phased[at]:
         return 1, gen
-    scaled = _scaled_index(gen, p, n, params)
+    scaled = _scaled_index(np.where(np.arange(n) < params, 1, gen), p)
     idx_g = idx[scaled]
     t = int(idx_g[at]) * pow(int(idx[at]), -1, p) % p
     if not np.array_equal(weight[scaled], weight) or \
@@ -471,61 +476,70 @@ def _scaling(weight: np.ndarray, idx: np.ndarray, p: int, params: int = 0):
 
 def _lookup(weight: np.ndarray, idx: np.ndarray, p: int):
     """The `_orbit_spectrum` fill of the field weight[x] at zeta^idx[x]:
-    slot r - 1 gets weight zeta^(r idx) by table lookup."""
-    def fill(spectrum, reps):
-        for r in reps:  # a view of the slot, also when it is 0-dimensional
-            np.multiply(zeta_table(p)[r * idx % p], weight, out=spectrum[r - 1, ...])
+    the k-th representative r gets weight zeta^(r idx) by table lookup."""
+    def fill(fields, reps):
+        for k, r in enumerate(reps):  # a view of the field, also when it is 0-dimensional
+            np.multiply(zeta_table(p)[r * idx % p], weight, out=fields[k, ...])
     return fill
 
 
-def _orbit_spectrum(fill, scaling, p: int, n: int, sign: int, params: int = 0):
-    """The permuted half-spectrum of a field over (p,)*n, shape
-    (p//2,) + (p,)*n: slot s - 1 holds its transform at zeta^s over the
-    last n - params axes, read at (s sign h) mod p, as in `cyclo_dft`.
+def _orbit_spectrum(fill, scaling, p: int, n: int, sign: int, params: int = 0,
+                    at: np.ndarray | None = None) -> np.ndarray:
+    """The permuted half-spectrum of a field over (p,)*n: row s - 1 holds
+    its transform at zeta^s over the last n - params axes, read at
+    (s sign h) mod p, as in `cyclo_dft`, at the points of flat index `at`,
+    shape (p//2, len(at)), or (the trivial orbit only) in place at every
+    h, shape (p//2, p^n).
 
     With F_u the transform of the field at zeta^u, a scaling (g, t) of
     the points (`_scaling`) gives F_u(k) = F_r(g^m k) for u = r t^(-m),
-    and F_(p-u)(k) = conj(F_u(-k)).  fill(spectrum, reps) writes the field
-    at zeta^r into slot r - 1 for each orbit's representative r <= p//2;
-    each is transformed in place, and the orbit's slots s = u or p - u
-    (conjugated) read it at (g^m u sign h) mod p, its own slot last.  On
-    the trivial orbit (1, 1) every slot is its own representative."""
+    and F_(p-u)(k) = conj(F_u(-k)).  fill(fields, reps) writes the field
+    at zeta^r into fields[k] for each orbit's representative r <= p//2,
+    the k-th; each is transformed in place, and the orbit's slots s = u or
+    p - u (conjugated) read it at g^m u sign h = lam^m r sign h mod p,
+    lam = g t^(-1).  On the trivial orbit (1, 1) every slot is its own
+    representative."""
     (g, t), half = scaling, p // 2
-    plan = {}  # slot -> (representative r, c, conj)
+    seen, orbits = set(), {}  # representative r -> its (slot, conj), m = 0, 1, ...
     for r in range(1, half + 1):
-        if r in plan:
+        if r in seen:
             continue
+        orbit = orbits[r] = []
         for m in range(p - 1):  # u = r t^(-m) until its slot repeats
             u = r * pow(t, -m, p) % p
-            if (slot := min(u, p - u)) in plan:
+            if (slot := min(u, p - u)) in seen:
                 break
-            plan[slot] = (r, pow(g, m, p) * u * sign, u > half)
-    spectrum = np.empty((half,) + (p,) * n, dtype=np.complex128)
-    reps = [s for s, (r, _, _) in plan.items() if s == r]
-    fill(spectrum, reps)
-    for r in reps:
-        field = spectrum[r - 1, ...]
+            seen.add(slot)
+            orbit.append((slot, u > half))
+    reps = list(orbits)
+    fields = np.empty((len(reps),) + (p,) * n, dtype=np.complex128)
+    fill(fields, reps)
+    for field in fields:
         for axis in range(params, n):
             np.fft.ifft(field, axis=axis, norm="forward", out=field)
-    flat = spectrum.reshape(half, -1)
-    for slot, (r, c, conj) in sorted(plan.items(), key=lambda e: e[0] == e[1][0]):
-        if c % p != 1 or r != slot or conj:
-            np.take(flat[r - 1], _scaled_index(c % p, p, n, params), out=flat[slot - 1])
+    flat = fields.reshape(len(reps), -1)
+    out = flat if at is None else np.empty((half, len(at)), dtype=np.complex128)
+    transformed = np.arange(n) >= params
+    step = _scaled_index(np.where(transformed, g * pow(t, -1, p) % p, 1), p)
+    for field, (r, orbit) in zip(flat, orbits.items()):
+        idx = _scaled_index(np.where(transformed, r * sign % p, 1), p)
+        idx = idx if at is None else idx[at]
+        for m, (slot, conj) in enumerate(orbit):
+            idx = step[idx] if m else idx
+            out[slot - 1] = field[idx]
             if conj:
-                np.conjugate(flat[slot - 1], out=flat[slot - 1])
-    return spectrum
+                np.conjugate(out[slot - 1], out=out[slot - 1])
+    return out
 
 
 def _round_counts(flat: np.ndarray, totals: np.ndarray, p: int, rows: np.ndarray):
-    """The rest of `cyclo_dft`: a spectrum `flat` (p//2, p^n), any strides,
-    and the fibers' total counts to int64 counts, rounded into rows (p^n, p)."""
+    """The rest of `cyclo_dft`: a spectrum `flat` (p//2, m), any strides,
+    and each row's fiber total count to int64 counts in rows (m, p)."""
     # Re(g conj(z)) = g.re z.re + g.im z.im, weight 2/p (1/p at s = p/2)
     back = _zeta_powers(p).T * ((1.0 if p == 2 else 2.0) / p)
-    means, fiber = totals / p, len(rows) // len(totals)
     for lo, hi in _row_blocks(len(rows), p):
         coef = np.ascontiguousarray(flat[:, lo:hi].T).view(np.float64) @ back
-        for f in range(lo // fiber, (hi - 1) // fiber + 1):  # a scalar add per fiber
-            coef[max(f * fiber - lo, 0):(f + 1) * fiber - lo] += means[f]
+        coef += (totals[lo:hi] / p)[:, None]
         exact = np.rint(coef)
         coef -= exact
         residual = float(np.abs(coef).max())
@@ -535,16 +549,81 @@ def _round_counts(flat: np.ndarray, totals: np.ndarray, p: int, rows: np.ndarray
         rows[lo:hi] = exact
 
 
-@dataclass
+def _diagonal_scaling(blocks: list[list[int]], scalings: list, p: int, n: int):
+    """(lam, t), one multiplier per axis, with counts(lam h)[j] =
+    counts(h)[t j mod p], from a scaling (g_k, t_k) of each block's field
+    (`_scaling`, (1, 1) for none): with t_k = gen^d_k, 1 <= d_k <= p - 1,
+    and L = lcm(d_k), t = gen^L and lam = g_k^(L/d_k) t^(-1) on block k."""
+    gen = FieldCtx(p).generator.rank
+    logs = [next(d for d in range(1, p) if pow(gen, d, p) == tk) for _, tk in scalings]
+    L = math.lcm(*logs)
+    t = pow(gen, L, p)
+    lam = np.ones(n, dtype=np.int64)
+    for block, (g, _), d in zip(blocks, scalings, logs):
+        lam[block] = pow(g, L // d, p) * pow(t, -1, p) % p
+    return lam, t
+
+
+def _coset_minima(c: int, p: int):
+    """The least element of each coset of <c> in F_p^*, and the order of c."""
+    sub = [1]
+    while (x := sub[-1] * c % p) != 1:
+        sub.append(x)
+    sub, free, mins = np.array(sub), np.ones(p, dtype=bool), []
+    for x in range(1, p):
+        if free[x]:
+            mins.append(x)
+            free[x * sub % p] = False
+    return np.array(mins, dtype=np.int64), len(sub)
+
+
+def _orbit_points(lam: np.ndarray, p: int) -> np.ndarray:
+    """The flat row-major index of one point h per orbit of h -> lam h on
+    (p,)*n.  Axis by axis, a point takes 0 or the least element of its
+    coset under the powers lam^(e k) that fix the axes before it: e starts
+    at 1 and grows by the order of lam_i^e past a nonzero axis i."""
+    points = {1: np.zeros(1, dtype=np.int64)}  # e -> the points so far
+    for c in lam.tolist():
+        grown = {}
+        for e, at in points.items():
+            mins, order = _coset_minima(pow(c, e, p), p)
+            grown.setdefault(e, []).append(at * p)
+            grown.setdefault(e * order, []).append(((at * p)[:, None] + mins).ravel())
+        points = {e: np.concatenate(parts) for e, parts in grown.items()}
+    return np.concatenate(list(points.values()))
+
+
+def _orbit_rows(rep: np.ndarray, at: np.ndarray, lam: np.ndarray, t: int, p: int):
+    """Yield (flat index of lam^(-b) h, rows counts(lam^(-b) h)[j] =
+    rep[:, t^(-b) j mod p]) for the representatives h at `at`, b = 0, 1, ...
+    until lam^(-b) = 1, which reaches every point.  The rows are one
+    buffer, overwritten by the next image."""
+    lam_inv = np.array([pow(c, -1, p) for c in lam.tolist()], dtype=np.int64)
+    step, scale, cols = _scaled_index(lam_inv, p), np.ones_like(lam), np.arange(p)
+    rows = np.empty_like(rep)
+    while True:
+        # unlike the default mode, "clip" does not buffer the output
+        yield at, np.take(rep, cols, axis=1, out=rows, mode="clip")
+        scale = scale * lam_inv % p
+        if (scale == 1).all():
+            return
+        at, cols = step[at], cols * pow(t, -1, p) % p
+
+
 class SumGrid:
     """Values of a sum family over all h in F_p^n.  When the family is purely
     additive, `counts` holds the exact cyclotomic payload and `values` is its
-    complex rendering."""
+    complex rendering.  `counts` may be given as a function that builds the
+    array on its first read (an orbit grid's, from `complete_grid`)."""
 
-    p: int
-    n: int
-    values: np.ndarray
-    counts: np.ndarray | None = None
+    def __init__(self, p: int, n: int, values: np.ndarray, counts=None):
+        self.p, self.n, self.values, self._counts = p, n, values, counts
+
+    @property
+    def counts(self) -> np.ndarray | None:
+        if callable(self._counts):
+            self._counts = self._counts()
+        return self._counts
 
     def value_at(self, h) -> complex:
         return complex(self.values[tuple(hi % self.p for hi in h)])
@@ -698,19 +777,19 @@ def _count_field(weight: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
     return counts
 
 
-def _product_spectrum(spec: SumSpec, blocks: list[list[int]], p: int, sign: int):
-    """The permuted half-spectrum of an exact spec, shape (p//2, p^n), and
-    its total count: the products of its blocks' half-spectra and totals."""
-    n, half = spec.nvars, p // 2
-    parts, total = [], 1
-    for k, block in enumerate(blocks):
-        _, weight, idx = trace_function_grid(_block_spec(spec, block, k == 0), p)
-        part = _orbit_spectrum(_lookup(weight, idx, p), _scaling(weight, idx, p) or (1, 1),
-                               p, len(block), sign)
-        shape = [p if i in block else 1 for i in range(n)] + [half]
-        parts.append(np.moveaxis(part, 0, -1).reshape(shape))
-        total *= weight.reshape(1, -1).sum(axis=1)
-    return reduce(np.multiply, parts).reshape(-1, half).T, total
+def _product_spectrum(fields, scalings, blocks: list[list[int]], at: np.ndarray,
+                      p: int, sign: int) -> np.ndarray:
+    """The permuted half-spectrum of an exact spec that factors over
+    variable blocks, shape (p//2, len(at)): the product of the blocks'
+    half-spectra, each read at the points' coordinates in its block.  `at`
+    holds flat indices with the axes taken block by block, and fields each
+    block's (weight, idx)."""
+    parts, after = [], sum(map(len, blocks))
+    for (weight, idx), scaling, block in zip(fields, scalings, blocks):
+        after -= len(block)
+        parts.append(_orbit_spectrum(_lookup(weight, idx, p), scaling, p, len(block), sign,
+                                     at=at // p ** after % p ** len(block)))
+    return reduce(np.multiply, parts)
 
 
 def complete_grid(spec: SumSpec, p: int, sign: int = 1,
@@ -724,19 +803,20 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     are not transformed: the grid at (a, h) is S_a(h), the sum over the
     fiber at a, every fiber in one transform.
 
-    Every exact half-spectrum comes from `_orbit_spectrum`.  A field with
-    a scaling symmetry (`_scaling`) transforms one table lookup
-    weight zeta^(r idx) per orbit of zeta powers, and the spectrum is
-    rounded here into a new count array.  A field without one scatters
-    weight[x] to zeta power idx[x] of a count field and transforms it in
-    place with `cyclo_dft`, the trivial orbit.  If the spec factors over
-    variable blocks (`_var_blocks`) and p^(n+1) > _BLOCK, the spectrum is
-    the product of the blocks' spectra (`_product_spectrum`), each block's
-    by table lookup, on the trivial orbit if it has no symmetry: block
-    count masses multiply to the whole field's, so the rounding bound
-    holds.  Every path peaks at two count fields; over the same row blocks
-    (`_render`) each cell is put in canonical form (min coefficient 0, so
-    exact zeros render as 0) and rendered."""
+    Every exact half-spectrum comes from `_orbit_spectrum`.  A field
+    without a scaling symmetry (`_scaling`) scatters weight[x] to zeta
+    power idx[x] of a count field and transforms it in place with
+    `cyclo_dft`, the trivial orbit.  Any other exact grid is quotiented by
+    a diagonal scaling h -> lam h with counts(lam h)[j] = counts(h)[t j]
+    (`_diagonal_scaling`: lam = g t^(-1) for the field's (g, t), or the
+    blocks' scalings over a common t when the spec splits over
+    `_var_blocks` and p^(n+1) > _BLOCK; block count masses multiply to the
+    whole field's, so the rounding bound holds).  Its spectrum is
+    gathered, rounded and made canonical (min coefficient 0, so exact
+    zeros render as 0) at one row per orbit (`_orbit_points`); `values`
+    renders their column permutations at every image (`_orbit_rows`),
+    bit-equal to a render of the count array, which is built from them
+    when `SumGrid.counts` is first read."""
     n = spec.nvars
     if spec.linear_form is not None and any(spec.linear_form):
         raise ValueError("complete_grid sweeps all h; fix the spec's linear form to None")
@@ -751,7 +831,15 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     blocks = (_var_blocks(spec) if spec.is_exact() and not params
               and p ** (n + 1) > _BLOCK else [])
     if len(blocks) > 1:
-        spectrum, totals = _product_spectrum(spec, blocks, p, sign)
+        fields = [trace_function_grid(_block_spec(spec, block, k == 0), p)[1:]
+                  for k, block in enumerate(blocks)]
+        scalings = [_scaling(weight, idx, p) or (1, 1) for weight, idx in fields]
+        lam, t = _diagonal_scaling(blocks, scalings, p, n)
+        order = [i for block in blocks for i in block]  # the axes block by block
+        reps = _orbit_points(lam[order], p)
+        spectrum = _product_spectrum(fields, scalings, blocks, reps, p, sign)
+        reps = np.arange(p ** n).reshape((p,) * n).transpose(order).ravel()[reps]
+        totals = np.full(len(reps), math.prod(int(w.sum()) for w, _ in fields))
     else:
         data = trace_function_grid(spec, p)
         if data[0] == "complex":
@@ -760,12 +848,23 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
         if (scaling := _scaling(weight, idx, p, params)) is None:
             counts = cyclo_dft(_count_field(weight, idx, p), p, sign, params=params)
             return SumGrid(p=p, n=n, values=_render(counts, p, canonical=True), counts=counts)
-        spectrum = _orbit_spectrum(_lookup(weight, idx, p), scaling, p, n, sign, params)
-        totals = weight.reshape(p ** params, -1).sum(axis=1)
-    counts = np.empty((p,) * n + (p,), dtype=np.int64)
-    _round_counts(spectrum.reshape(p // 2, -1), totals, p, counts.reshape(-1, p))
-    del spectrum  # freed before the render
-    return SumGrid(p=p, n=n, values=_render(counts, p, canonical=True), counts=counts)
+        lam, t = _diagonal_scaling([list(range(params, n))], [scaling], p, n)
+        reps = _orbit_points(lam, p)
+        spectrum = _orbit_spectrum(_lookup(weight, idx, p), scaling, p, n, sign, params, reps)
+        totals = weight.reshape(p ** params, -1).sum(axis=1)[reps // p ** (n - params)]
+    rep_counts = np.empty((len(reps), p), dtype=np.int64)
+    _round_counts(spectrum, totals, p, rep_counts)
+    rep_counts -= rep_counts.min(axis=1, keepdims=True)
+    values = np.empty(p ** n, dtype=np.complex128)
+    for at, rows in _orbit_rows(rep_counts, reps, lam, t, p):
+        values[at] = _render(rows, p)
+
+    def counts():
+        out = np.empty((p ** n, p), dtype=np.int64)
+        for at, rows in _orbit_rows(rep_counts, reps, lam, t, p):
+            out[at] = rows
+        return out.reshape((p,) * n + (p,))
+    return SumGrid(p=p, n=n, values=values.reshape((p,) * n), counts=counts)
 
 
 def S_F_grid(F: IntPolynomial, p: int, cap: int = DEFAULT_GRID_CAP) -> SumGrid:

@@ -49,9 +49,11 @@ def test_sum_with_multiplicative_twist(capsys):
 
 
 def test_sum_parse_failure_exit_2(capsys):
-    for f in ("x^^2", "x1*"):
-        code, _, err = run(capsys, "sum", "--p", "3", "--f", f, "--h", "0")
-        assert code == 2
+    # a variety in more variables than --n is refused like such a phase
+    for args in (["--f", "x^^2", "--h", "0"], ["--f", "x1*", "--h", "0"],
+                 ["--n", "1", "--f", "x1 + x2"], ["--n", "1", "--variety", "x1 + x2"]):
+        code, _, err = run(capsys, "sum", "--p", "3", *args)
+        assert code == 2, args
         assert "parse error" in err
 
 
@@ -155,6 +157,28 @@ def test_verify_chain_codims_mismatch_exit_2(capsys, tmp_path):
                        "--C", "1", "--d", "1")
     assert code == 2
     assert "3 strata but 1 claimed codims" in err
+
+
+def test_verify_builds_each_primes_masks_once(capsys, tmp_path, monkeypatch):
+    # at p = 13 (13^4 <= 2^16) the chain's containment check and the bound
+    # check share one mask per distinct stratum
+    from stratsums import strat
+
+    chain = str(tmp_path / "diag4.json")
+    assert run(capsys, "catalog", "build", "diagonal_quadratic", "--params", "n=4",
+               "--chain-out", chain)[0] == 0
+    real, calls = strat.variety_mask, []
+
+    def counting(V, p, nvars):
+        calls.append(p)
+        return real(V, p, nvars)
+
+    monkeypatch.setattr(strat, "variety_mask", counting)
+    code, out, _ = run(capsys, "verify", "--chain", chain, "--p", "13", "--variety",
+                       "x1^2+x2^2+x3^2+x4^2", "--d", "3", "--C", "2")
+    assert code == 0 and "PASS" in out
+    strata = VarietyChain.load(chain, check_primes=()).strata
+    assert calls == [13] * len({V.generators for V in strata})
 
 
 def test_verify_fail_exit_1(capsys, tmp_path):

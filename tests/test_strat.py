@@ -134,7 +134,9 @@ def test_chain_masks_evaluate_equal_strata_once(monkeypatch):
         calls.append(V.generators)
         return variety_mask(V, p, nvars)
 
-    blocks = build_entry("quadric_blocks", {"n_blocks": 2}).chain
+    # the same strata objects, without the masks built at construction
+    built = build_entry("quadric_blocks", {"n_blocks": 2}).chain
+    blocks = VarietyChain(built.ambient, built.strata, check_primes=())
     diag = build_entry("diagonal_quadratic", {"n": 4, "coeffs": [1, 2, 3, 5]}).chain
     # a chain file holds equal strata as separate objects
     loaded = VarietyChain.from_json_dict(

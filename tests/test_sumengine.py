@@ -705,14 +705,26 @@ def _random_separable_spec(rng, p, phased=True):
                    variety=AffineVariety(n, gens) if gens else None)
 
 
+def _mixed_degree_splits():
+    """Split specs whose blocks scale with different t_k: phases of
+    different degrees, and a phase-free block next to a phased one."""
+    return [SumSpec(nvars=4, additive_phase=parse_poly("x1*x2 + x3*x4^2", 4)),
+            SumSpec(nvars=4, additive_phase=parse_poly("x1^2 + x2^3 + x3*x4", 4)),
+            SumSpec(nvars=4, variety=AffineVariety(4, [parse_poly("x3^2 + 2*x4^2 - 1", 4)]),
+                    additive_phase=parse_poly("x1*x2^2", 4))]
+
+
 def test_split_grid_matches_whole_transform(monkeypatch):
     # the product of block transforms against the whole field's transform:
     # bit-equal counts and values, on phased specs and on variety-only ones
-    # (phase-free blocks and whole fields, each transformed once)
+    # (phase-free blocks and whole fields, each transformed once), and on
+    # blocks whose scalings combine into a diagonal lam with different
+    # multipliers per block
     rng, free = random.Random(20261021), random.Random(20261019)
     for p in (2, 3, 5, 7, 11, 13):
         specs = [_random_separable_spec(rng, p) for _ in range(6)]
         specs += [_random_separable_spec(free, p, phased=False) for _ in range(4)]
+        specs += _mixed_degree_splits() if p >= 5 else []
         for spec in specs:
             assert len(sumengine._var_blocks(spec)) > 1, spec
             for sign in (1, -1):
@@ -760,6 +772,87 @@ def test_split_grid_refuses_rounding_residual(monkeypatch):
     spec = SumSpec(nvars=2, additive_phase=parse_poly("x1^2 + x2", 2))
     with pytest.raises(AssertionError, match="residual"):
         complete_grid(spec, 5)
+
+
+# -- orbit grids ------------------------------------------------------------------------
+
+
+def test_orbit_points_partition_the_grid():
+    # every point of (p,)^n is lam^b h for exactly one representative h, for
+    # random diagonal lam, 1 on the first k (parameter) axes
+    rng = random.Random(20261022)
+    for _ in range(40):
+        p, n = rng.choice((2, 3, 5, 7, 11, 13)), rng.randint(1, 4)
+        k = rng.randint(0, n)
+        lam = np.array([1] * k + [rng.randrange(1, p) for _ in range(n - k)])
+        reps = sumengine._orbit_points(lam, p)
+        assert len(np.unique(reps)) == len(reps), (p, lam)
+        label, at, mine = np.full(p ** n, -1), reps, np.arange(len(reps))
+        for _ in range(p - 1):  # lam^(p-1) = 1
+            assert ((label[at] == -1) | (label[at] == mine)).all(), (p, lam)
+            label[at] = mine
+            h = np.array(np.unravel_index(at, (p,) * n))
+            at = np.ravel_multi_index(h * lam[:, None] % p, (p,) * n)
+        assert (label >= 0).all(), (p, lam)
+
+
+def test_orbit_rows_are_predicted_column_permutations():
+    # counts(lam h)[j] = counts(h)[t j mod p] on the reference counts, for
+    # lam = g t^(-1) at a random power (g, t) of the scaling `_scaling`
+    # finds, and for the diagonal lam `_diagonal_scaling` combines from the
+    # blocks of a split spec
+    rng = random.Random(20261023)
+    for p in (5, 7, 11, 13):
+        cases = []
+        for spec in rng.sample(_symmetric_specs(rng), 5):
+            _, weight, idx = trace_function_grid(spec, p)
+            g, t = sumengine._scaling(weight, idx, p)
+            a = rng.randrange(1, p - 1)
+            lam = np.full(spec.nvars, pow(g, a, p) * pow(t, -a, p) % p)
+            cases.append((spec, lam, pow(t, a, p)))
+        for spec in _mixed_degree_splits():
+            blocks = sumengine._var_blocks(spec)
+            scalings = [sumengine._scaling(*trace_function_grid(
+                sumengine._block_spec(spec, block, k == 0), p)[1:], p)
+                for k, block in enumerate(blocks)]
+            lam, t = sumengine._diagonal_scaling(blocks, scalings, p, spec.nvars)
+            assert len(set(lam.tolist())) > 1, (spec, p)  # a per-block multiplier
+            cases.append((spec, lam, t))
+        for spec, lam, t in cases:
+            counts, _ = _reference_grid(spec, p, rng.choice((1, -1)))
+            rows, n = counts.reshape(-1, p), spec.nvars
+            h = np.indices((p,) * n).reshape(n, -1)
+            moved = rows[np.ravel_multi_index(h * lam[:, None] % p, (p,) * n)]
+            assert np.array_equal(moved, rows[:, t * np.arange(p) % p]), (spec, p, lam, t)
+
+
+def test_orbit_grid_builds_counts_on_first_read(monkeypatch, tmp_path):
+    # building and rendering an orbit grid, and `grid` without --bin, leave
+    # the count array unbuilt; read afterwards through counts, cyclo_at or
+    # a binary round trip, it equals the reference counts
+    from stratsums import cli
+
+    p, spec = 31, SumSpec(nvars=2, additive_phase=parse_poly("x1^2*x2 + x2^3", 2))
+    counts, values = _reference_grid(spec, p)
+    built = cli.complete_grid
+
+    def keep(*args, **kwargs):
+        grids.append(built(*args, **kwargs))
+        return grids[-1]
+
+    grids = []
+    monkeypatch.setattr(cli, "complete_grid", keep)
+    assert cli.main(["grid", "--p", "31", "--f", "x1^2*x2 + x2^3", "--spot-check", "3"]) == 0
+    grids += [complete_grid(spec, p), complete_grid(spec, p)]
+    for grid in grids:
+        assert np.array_equal(grid.values, values)
+        assert callable(grid._counts)  # not built yet
+    by_cli, by_cell, dumped = grids
+    assert np.array_equal(by_cli.counts, counts)
+    assert all(by_cell.cyclo_at(h) == CycloValue(p, counts[h]) for h in np.ndindex(p, p))
+    dumped.to_binary(tmp_path / "grid.bin")
+    back = SumGrid.from_binary(tmp_path / "grid.bin")
+    assert np.array_equal(back.counts, counts) and np.array_equal(dumped.counts, counts)
 
 
 def test_complete_grid_constant_function():
