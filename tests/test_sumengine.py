@@ -834,13 +834,12 @@ def test_orbit_grid_builds_counts_on_first_read(monkeypatch, tmp_path):
 
     p, spec = 31, SumSpec(nvars=2, additive_phase=parse_poly("x1^2*x2 + x2^3", 2))
     counts, values = _reference_grid(spec, p)
-    built = cli.complete_grid
+    grids, built = [], cli.complete_grid
 
     def keep(*args, **kwargs):
         grids.append(built(*args, **kwargs))
         return grids[-1]
 
-    grids = []
     monkeypatch.setattr(cli, "complete_grid", keep)
     assert cli.main(["grid", "--p", "31", "--f", "x1^2*x2 + x2^3", "--spot-check", "3"]) == 0
     grids += [complete_grid(spec, p), complete_grid(spec, p)]
