@@ -20,7 +20,7 @@ from .cyclo import CycloValue, zeta_table
 from .errors import CapExceeded, DEFAULT_ENUM_CAP, RankTooHigh
 from .ffield import FieldCtx
 from .polyring import IntPolynomial
-from .sumengine import SumSpec, SumValue
+from .sumengine import SumSpec, SumValue, summand_tables
 
 _BLOCK = 1 << 16  # points per kernel block; bounds the kernel's working arrays
 
@@ -158,34 +158,14 @@ def summand_blocks(spec: SumSpec, ctx: FieldCtx):
     phase at digit 0, the trace.  amp is an integer weight unless a twist
     or the Kloosterman value makes it complex."""
     p, q, m, n = ctx.p, ctx.q, ctx.m, spec.nvars
-    qm1 = q - 1
     W = trace_windows(ctx)
     kind = spec.trace_weight[0] if spec.trace_weight else None
-
-    phase_poly = spec.additive_phase or IntPolynomial.zero(n)
-    if kind == "kloosterman_phase":  # x + a x^(q-2) = x + a/x on the torus
-        phase_poly = IntPolynomial(1, {(1,): 1}) \
-            + IntPolynomial(1, {(q - 2,): spec.trace_weight[1]})
-    for i, hi in enumerate(spec.linear_form or ()):
-        phase_poly = phase_poly + IntPolynomial.variable(i, n) * int(hi)
-
-    chi_by_key = None
-    if spec.mult_twist is not None:
-        g, order, index = spec.mult_twist
-        if qm1 % order != 0:
-            raise ValueError(f"character order {order} does not divide q-1")
-        key_weights = p ** np.arange(m, dtype=np.int64)  # window -> [0, q)
-        ang = 2 * np.pi * ((index * np.arange(qm1)) % order) / order
-        chi_by_key = np.zeros(q, dtype=np.complex128)  # chi(0) = 0 at key 0
-        chi_by_key[W @ key_weights] = np.exp(1j * ang)
-    kl = None
-    if kind == "kloosterman_value":  # -Kl(g^b)/sqrt(q) = -(f*f)[b]/sqrt(q)
-        f = zeta_table(p)[W[:, 0]]
-        kl = -np.fft.ifft(np.fft.fft(f) ** 2) / np.sqrt(q)
+    phase_poly, chi_by_key, kl = summand_tables(spec, ctx, W)
+    key_weights = p ** np.arange(m, dtype=np.int64)  # window -> [0, q)
     F = spec.trace_weight[1] if kind == "root_count" else None
     block = max(1, _BLOCK // q) if F is not None else _BLOCK
 
-    for ks, size in face_blocks(n, spec.torus, qm1, block):
+    for ks, size in face_blocks(n, spec.torus, q - 1, block):
         if spec.variety is not None:
             inside = np.ones(size, dtype=bool)
             for gen in spec.variety.generators:
@@ -199,7 +179,8 @@ def summand_blocks(spec: SumSpec, ctx: FieldCtx):
         if kl is not None:
             amp = amp * kl[ks[0]]
         if chi_by_key is not None:
-            chi = chi_by_key[poly_windows(g, ks, size, W, p) @ key_weights]
+            chi = chi_by_key[poly_windows(spec.mult_twist[0], ks, size, W, p)
+                             @ key_weights]
             live = chi != 0
             twist_zeros = size - int(live.sum())
             phase, amp = phase[live], amp[live] * chi[live]

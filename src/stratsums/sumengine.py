@@ -5,29 +5,29 @@ Two independent evaluation paths are kept deliberately separate so each can
 serve as the other's oracle:
 
 * `eval_sum` enumerates points and accumulates character values: the
-  scalar reference, and the only code besides the trace-window kernel in
-  `spectral` (which the `sum` command runs on) that turns a `SumSpec`
-  into summands.  It evaluates each point once per (spec, field): the
-  `FieldElem` work goes into a cached point table (`_point_table`), and
-  each call folds its h in through the coordinate traces;
-* `complete_grid` transforms the kernel's pointwise data at m = 1
-  (`trace_function_grid`) with numpy's FFT over the n point axes: complex
-  grids directly (`dft_grid`), exact grids through their values at the
-  roots of unity zeta^s, rounded back to counts.  One builder makes every
-  exact half-spectrum (`_orbit_spectrum`): where scaling the points maps
-  weight[x] zeta^idx[x] to itself up to s -> s t on zeta (a phase-free
-  field, a homogeneous phase on a cone: `_scaling`), it transforms one
-  field per orbit of s; `cyclo_dft`, the generic zeta-count transform and
-  the reference, is its trivial orbit, every s transformed.  An exact sum
-  that factors over disjoint variable blocks is the product of the
-  blocks' transforms (`_product_spectrum`).  With `params=k` the first k
-  point axes are family parameters: only the last n - k are transformed,
-  so one call builds every fiber of a family, each rounded on its own.
-  The symmetry also quotients the grid: rows in one orbit of a diagonal
-  scaling h -> lam h (`_diagonal_scaling`, split blocks combined over a
-  common t) are column permutations of each other; one row per orbit is
-  rounded, `values` renders the permuted rows, and the count array is
-  built from them when `SumGrid.counts` is first read.
+  scalar reference.  It evaluates each point once per (spec, field) into
+  a cached point table (`_point_table`), and each call folds its h in
+  through the coordinate traces.  The trace-window kernel in `spectral`
+  (the `sum` command) and `trace_function_grid` build summands from one
+  set of per-spec tables (`summand_tables`);
+* `complete_grid` transforms the pointwise data over F_p^n, built by
+  broadcasting (`trace_function_grid`), with numpy's FFT over the n point
+  axes: complex grids directly (`dft_grid`), exact grids through their
+  values at the roots of unity zeta^s, rounded back to counts.  One
+  builder makes every exact half-spectrum (`_orbit_spectrum`): where
+  scaling the points maps weight[x] zeta^idx[x] to itself up to s -> s t
+  on zeta (a phase-free field, a homogeneous phase on a cone: `_scaling`),
+  it transforms one field per orbit of s; `cyclo_dft`, the generic
+  zeta-count transform and the reference, is its trivial orbit, every s
+  transformed.  An exact sum that factors over disjoint variable blocks is
+  the product of the blocks' transforms (`_product_spectrum`).  With
+  `params=k` the first k point axes are family parameters: only the last
+  n - k are transformed, so one call builds every fiber of a family, each
+  rounded on its own.  The symmetry also quotients the grid: rows in one
+  orbit of a diagonal scaling h -> lam h (`_diagonal_scaling`, split
+  blocks combined over a common t) are column permutations of each other;
+  one row per orbit is rounded, `values` renders the permuted rows, and
+  the count array is built from them when `SumGrid.counts` is first read.
 
 Purely additive sums are carried exactly as zeta_p-coefficient counts
 (`CycloValue`), so identity checks are bit-exact rather than tolerance-based.
@@ -83,6 +83,8 @@ class SumSpec:
     half_twist: int = 0
 
     def __post_init__(self):
+        if self.nvars < 0:
+            raise ValueError("nvars must be >= 0")
         if self.variety is not None and self.variety.nvars != self.nvars:
             raise ValueError("variety ambient dimension mismatch")
         if self.additive_phase is not None and self.additive_phase.nvars != self.nvars:
@@ -696,26 +698,63 @@ class SumGrid:
         return cls(p=p, n=n, values=values)
 
 
+def summand_tables(spec: SumSpec, ctx: FieldCtx, W: np.ndarray):
+    """The per-spec tables that the F_q kernel and the base-field grid both
+    read, W[k] being the trace window of g^k (g^k itself at m = 1):
+    phase_poly, the phase (x + a/x = x + a x^(q-2) for a Kloosterman phase)
+    plus the linear form; chi_by_key, chi by key sum_j W_j p^j (x at m = 1),
+    0 at key 0; kl, -Kl(g^k)/sqrt(q) = -(f*f)[k]/sqrt(q).  None if unused."""
+    p, q, n = ctx.p, ctx.q, spec.nvars
+    kind = spec.trace_weight[0] if spec.trace_weight else None
+    phase_poly = spec.additive_phase or IntPolynomial.zero(n)
+    if kind == "kloosterman_phase":
+        phase_poly = IntPolynomial(1, {(1,): 1}) \
+            + IntPolynomial(1, {(q - 2,): spec.trace_weight[1]})
+    for i, hi in enumerate(spec.linear_form or ()):
+        phase_poly = phase_poly + IntPolynomial.variable(i, n) * int(hi)
+    chi_by_key = kl = None
+    if spec.mult_twist is not None:
+        _, order, index = spec.mult_twist
+        if (q - 1) % order != 0:
+            raise ValueError(f"character order {order} does not divide q-1")
+        ang = 2 * np.pi * ((index * np.arange(q - 1)) % order) / order
+        chi_by_key = np.zeros(q, dtype=np.complex128)
+        chi_by_key[W @ p ** np.arange(W.shape[1], dtype=np.int64)] = np.exp(1j * ang)
+    if kind == "kloosterman_value":
+        f = zeta_table(p)[W[:, 0]]
+        kl = -np.fft.ifft(np.fft.fft(f) ** 2) / np.sqrt(q)
+    return phase_poly, chi_by_key, kl
+
+
 def trace_function_grid(spec: SumSpec, p: int):
-    """Pointwise summand data over F_p^nvars for a base-field spec, from the
-    trace-window kernel at m = 1: each block is scattered to the points
-    x_i = g^(k_i), or 0 where k_i is None.
-
-    Returns ("exact", weight, idx) with integer weights and additive phase
-    indices, or ("complex", values)."""
-    from .spectral import summand_blocks  # spectral imports this module
-
-    ctx = FieldCtx(p)
-    shape = (p,) * spec.nvars
-    exact = spec.is_exact()
-    weight = np.zeros(shape, dtype=np.int64 if exact else np.complex128)
-    idx = np.zeros(shape, dtype=np.int64)
-    for ks, phase, amp, _, _ in summand_blocks(spec, ctx):
-        at = tuple(np.zeros(len(phase), dtype=np.int64) if k is None
-                   else ctx.exp_ranks[k] for k in ks)
-        weight[at] = amp
-        idx[at] = phase
-    if exact:
+    """Pointwise summand data over F_p^nvars of a base-field spec, broadcast
+    over the (p,)^n grid from `summand_tables`, `poly_values_grid` and
+    `variety_mask`; a root count adds up F(y, x) = sum_j y^j F_j(x) = 0 one
+    y at a time.  ("exact", weight, idx), integer weights and phase indices
+    both 0 off the domain and at the twist zeros, or ("complex", values)."""
+    n, ctx = spec.nvars, FieldCtx(p)
+    phase_poly, chi_by_key, kl = summand_tables(spec, ctx, ctx.exp_ranks[:, None])
+    idx = poly_values_grid(phase_poly, p)
+    live = variety_mask(spec.variety, p, n)
+    for axis in range(n) if spec.torus else ():
+        np.moveaxis(live, axis, 0)[0] = False
+    if chi_by_key is not None:
+        chi = chi_by_key[poly_values_grid(spec.mult_twist[0], p)]
+        live &= chi != 0
+    weight = live.astype(np.int64 if spec.is_exact() else np.complex128)
+    if spec.trace_weight and spec.trace_weight[0] == "root_count":
+        terms, xs = spec.trace_weight[1].terms.items(), range(1, n + 1)
+        F_j = [(j, poly_values_grid(_restrict([t for t in terms if t[0][0] == j], xs), p))
+               for j in {e[0] for e, _ in terms}]
+        weight *= sum(sum(pow(y, j, p) * grid for j, grid in F_j) % p == 0 for y in range(p))
+    if kl is not None:
+        weight[ctx.exp_ranks] *= kl
+    if chi_by_key is not None:
+        weight *= chi
+        del chi  # not held through the value product below
+    idx[~live] = 0
+    weight[~live] = 0
+    if spec.is_exact():
         return "exact", weight, idx
     values = weight * zeta_table(p)[idx]
     if spec.half_twist:

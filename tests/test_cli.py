@@ -114,6 +114,29 @@ def test_grid_spot_check_and_exports(capsys, tmp_path):
     assert np.allclose(back.values, csv_back.values)
 
 
+def test_grid_in_no_variables_is_the_one_point_sum(capsys, tmp_path):
+    # S() is the summand at the one point of F_p^0, as `sum` prints it:
+    # 1 without a phase, zeta^1 for the constant phase 1
+    cases = [((), [1, 0, 0, 0, 0, 0, 0]), (("--f", "1"), [0, 1, 0, 0, 0, 0, 0])]
+    for phase, counts in cases:
+        path = tmp_path / "g0.bin"
+        code, out, _ = run(capsys, "grid", "--p", "7", "--n", "0", *phase,
+                           "--bin", str(path))
+        assert code == 0, phase
+        assert "grid 7^0: max|S| = 1, nonzero at 1 of 1 parameters" in out
+        grid = SumGrid.from_binary(path)
+        assert grid.values.shape == () and grid.counts.tolist() == counts
+        code, out, _ = run(capsys, "sum", "--p", "7", "--n", "0", *phase)
+        assert code == 0 and f"counts {tuple(counts)}" in out
+
+
+def test_negative_variable_count_exit_2(capsys):
+    for command in ("grid", "sum"):
+        code, _, err = run(capsys, command, "--p", "7", "--n", "-1")
+        assert code == 2, command
+        assert "nvars must be >= 0" in err
+
+
 def test_verify_pass_and_report(capsys, tmp_path):
     chain_path = tmp_path / "chain.json"
     chain = VarietyChain(3, [

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from stratsums.cyclo import CycloValue, zeta_table
 from stratsums.errors import CapExceeded, ParseError
 from stratsums.ffield import FieldCtx, next_irreducible
 from stratsums.polyring import AffineVariety, IntPolynomial, parse_poly
+from stratsums.spectral import summand_blocks
 from stratsums.sumengine import (
     S_F_grid,
     SumGrid,
@@ -127,6 +129,100 @@ def test_variety_mask_matches_full_grid_evaluation():
                 assert np.array_equal(got, want), (p, n, V)
                 mixed += bool(want.any() and not want.all())
     assert mixed > 20  # the random varieties cut out proper subsets
+
+
+def _kernel_trace_grid(spec, p):
+    """Reference for `trace_function_grid`: the F_q kernel's blocks at
+    m = 1, each point x_i = g^(k_i) (0 where k_i is None) scattered to its
+    flat grid index."""
+    ctx = FieldCtx(p)
+    shape = (p,) * spec.nvars
+    exact = spec.is_exact()
+    weight = np.zeros(shape, dtype=np.int64 if exact else np.complex128)
+    idx = np.zeros(shape, dtype=np.int64)
+    for ks, phase, amp, _, _ in summand_blocks(spec, ctx):
+        at = np.zeros(len(phase), dtype=np.int64)
+        for k in ks:
+            at = at * p + (0 if k is None else ctx.exp_ranks[k])
+        weight.reshape(-1)[at] = amp
+        idx.reshape(-1)[at] = phase
+    if exact:
+        return "exact", weight, idx
+    values = weight * zeta_table(p)[idx]
+    if spec.half_twist:
+        values /= p ** (spec.half_twist / 2)
+    return "complex", values
+
+
+def _trace_grid_specs(rng, p):
+    """Random specs of every kind `trace_function_grid` builds, in 0 to 3
+    variables.  Exponents run past p - 1 and coefficients past p, so
+    x^(p-1) = 1 on the torus and reduction mod p are both exercised."""
+    def poly(n):
+        return IntPolynomial(n, {tuple(rng.randrange(p + 2) for _ in range(n)):
+                                 rng.randrange(-p, 2 * p) for _ in range(3)})
+
+    def variety(n):
+        return AffineVariety(n, [poly(n) for _ in range(rng.randint(1, 2))])
+
+    def twist(n, index):
+        return poly(n), rng.choice([d for d in range(1, p) if (p - 1) % d == 0]), index
+
+    for n in range(4):
+        yield SumSpec(nvars=n, variety=variety(n))
+        yield SumSpec(nvars=n, additive_phase=poly(n),
+                      linear_form=tuple(rng.randrange(p) for _ in range(n)))
+        yield SumSpec(nvars=n, variety=variety(n), additive_phase=poly(n), torus=True)
+        for index in (0, 1):
+            yield SumSpec(nvars=n, additive_phase=poly(n), mult_twist=twist(n, index),
+                          torus=rng.random() < 0.5)
+        yield SumSpec(nvars=n, additive_phase=poly(n),
+                      trace_weight=("root_count", poly(n + 1)))
+        yield SumSpec(nvars=n, variety=variety(n), mult_twist=twist(n, 1),
+                      trace_weight=("root_count", poly(n + 1)))
+        yield SumSpec(nvars=n, additive_phase=poly(n), half_twist=rng.randint(1, 2))
+    yield SumSpec(nvars=1, trace_weight=("kloosterman_phase", rng.randrange(-p, 2 * p)))
+    yield SumSpec(nvars=1, trace_weight=("kloosterman_value",))
+    yield SumSpec(nvars=1, trace_weight=("kloosterman_value",),
+                  mult_twist=twist(1, 1), half_twist=1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_trace_function_grid_matches_kernel_scatter(p):
+    rng = random.Random(f"trace-grid/{p}")
+    kinds = set()
+    for spec in _trace_grid_specs(rng, p):
+        got, want = trace_function_grid(spec, p), _kernel_trace_grid(spec, p)
+        assert got[0] == want[0], spec
+        for a, b in zip(got[1:], want[1:]):
+            assert a.shape == b.shape and a.dtype == b.dtype, spec
+            # the bytes too, so that a signed zero shows
+            assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), spec
+        kinds.add(got[0])
+    assert kinds == {"exact", "complex"}
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_function_grid_peak_memory():
+    # the root count goes one y at a time: no (p,)^(n+1) array, not even a
+    # quarter of one
+    p, n = 61, 2
+    spec = SumSpec(nvars=n, trace_weight=("root_count", parse_poly("y^2 - x1^3 - x2")))
+    trace_function_grid(spec, p)  # field and zeta tables are cached
+    assert _traced_peak(trace_function_grid, spec, p) < p ** (n + 1) * 8 / 4
+    spec = SumSpec(nvars=3, additive_phase=parse_poly("x1^2*x2 + x3^3"),
+                   mult_twist=(parse_poly("x1*x2 + x3 + 1"), 3, 1))
+    kind, values = trace_function_grid(spec, p)
+    assert kind == "complex"
+    assert _traced_peak(trace_function_grid, spec, p) < 4 * values.nbytes
 
 
 # -- single sums -------------------------------------------------------------------
