@@ -133,14 +133,15 @@ class IntPolynomial:
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval_mod(self, point) -> "FieldElem":
+    def eval_mod(self, point, ctx=None) -> "FieldElem":
         """Value at a point of F_{p^m}^nvars, coefficients reduced into the
-        field.  All coordinates must share one context."""
+        field.  All coordinates must share one context, ctx if given (the
+        only field a polynomial in 0 variables knows)."""
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} coords, poly has {self.nvars} vars")
-        if self.nvars == 0:
-            raise ValueError("eval_mod needs a context; use a 1-var constant instead")
-        ctx = point[0].ctx
+        if ctx is None and not point:
+            raise ValueError("eval_mod of a 0-variable polynomial needs a context")
+        ctx = point[0].ctx if ctx is None else ctx
         for x in point:
             if x.ctx is not ctx:
                 raise ValueError("mixed field contexts in point")
@@ -227,8 +228,8 @@ class AffineVariety:
     def empty(cls, nvars: int) -> "AffineVariety":
         return cls(nvars, (IntPolynomial.constant(1, nvars),))
 
-    def contains(self, point) -> bool:
-        return all(g.eval_mod(point).is_zero() for g in self.generators)
+    def contains(self, point, ctx=None) -> bool:
+        return all(g.eval_mod(point, ctx).is_zero() for g in self.generators)
 
     def height_upper(self) -> float:
         """Upper bound for the variety height from the *given* generators:

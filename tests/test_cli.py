@@ -116,17 +116,21 @@ def test_grid_spot_check_and_exports(capsys, tmp_path):
 
 def test_grid_in_no_variables_is_the_one_point_sum(capsys, tmp_path):
     # S() is the summand at the one point of F_p^0, as `sum` prints it:
-    # 1 without a phase, zeta^1 for the constant phase 1
-    cases = [((), [1, 0, 0, 0, 0, 0, 0]), (("--f", "1"), [0, 1, 0, 0, 0, 0, 0])]
-    for phase, counts in cases:
+    # 1 without a phase, zeta^1 for the constant phase 1, 0 off the
+    # variety 2 = 0; the spot check's eval_sum evaluates the constants in F_7
+    cases = [((), [1, 0, 0, 0, 0, 0, 0]), (("--f", "1"), [0, 1, 0, 0, 0, 0, 0]),
+             (("--variety", "2"), [0, 0, 0, 0, 0, 0, 0])]
+    for args, counts in cases:
         path = tmp_path / "g0.bin"
-        code, out, _ = run(capsys, "grid", "--p", "7", "--n", "0", *phase,
-                           "--bin", str(path))
-        assert code == 0, phase
-        assert "grid 7^0: max|S| = 1, nonzero at 1 of 1 parameters" in out
+        code, out, _ = run(capsys, "grid", "--p", "7", "--n", "0", *args,
+                           "--spot-check", "3", "--bin", str(path))
+        assert code == 0, args
+        s = int(any(counts))
+        assert f"grid 7^0: max|S| = {s}, nonzero at {s} of 1 parameters" in out
+        assert "max rel err 0" in out, args
         grid = SumGrid.from_binary(path)
         assert grid.values.shape == () and grid.counts.tolist() == counts
-        code, out, _ = run(capsys, "sum", "--p", "7", "--n", "0", *phase)
+        code, out, _ = run(capsys, "sum", "--p", "7", "--n", "0", *args)
         assert code == 0 and f"counts {tuple(counts)}" in out
 
 

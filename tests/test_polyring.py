@@ -51,6 +51,16 @@ def test_eval_dimension_mismatch():
         f.eval_mod([ctx.elem(1)])
 
 
+def test_eval_mod_in_no_variables_needs_the_field():
+    ctx = FieldCtx(7)
+    c = IntPolynomial.constant(9, 0)
+    with pytest.raises(ValueError, match="needs a context"):
+        c.eval_mod([])
+    assert c.eval_mod([], ctx) == ctx.elem(2)
+    assert not AffineVariety(0, [c]).contains([], ctx)
+    assert AffineVariety(0, [IntPolynomial.constant(14, 0)]).contains([], ctx)
+
+
 def test_eval_mod_is_ring_homomorphism_on_random_instances():
     ctx = FieldCtx(7, 2)
     rng = random.Random(10)

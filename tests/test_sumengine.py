@@ -263,6 +263,21 @@ def test_eval_sum_extension_field():
     assert abs(abs(out.value) - 3.0) < 1e-9  # |Gauss sum over F_q| = sqrt(q)
 
 
+def test_eval_sum_in_no_variables():
+    # the one point of F_q^0: a constant phase c gives zeta^Tr(c), and a
+    # constant generator keeps the point only when it vanishes in the field
+    for (p, m), c in [((7, 1), 3), ((7, 1), 10), ((3, 2), 1)]:
+        ctx = FieldCtx(p, m)
+        out = eval_sum(SumSpec(nvars=0, additive_phase=IntPolynomial.constant(c, 0)), ctx, h=())
+        assert out.n_points == 1
+        assert out.cyclo == CycloValue(p, np.eye(p, dtype=np.int64)[m * c % p]), (p, m, c)
+    ctx = FieldCtx(7)
+    for c, points in [(2, 0), (14, 1)]:
+        V = AffineVariety(0, [IntPolynomial.constant(c, 0)])
+        out = eval_sum(SumSpec(nvars=0, variety=V), ctx)
+        assert out.n_points == points and out.cyclo == CycloValue.integer(points, 7), c
+
+
 def test_eval_sum_fold_matches_fieldelem_loop():
     # the fold adds sum h_i Tr(x_i); the loop takes Tr(f(x) + h.x) with
     # FieldElem arithmetic at every point, as the reference did per call
@@ -495,7 +510,7 @@ def test_complete_grid_params_input_checks(monkeypatch):
     def no_split(*args):
         raise AssertionError("a parameter grid was split")
 
-    monkeypatch.setattr(sumengine, "_product_spectrum", no_split)
+    monkeypatch.setattr(sumengine, "_block_spec", no_split)
     monkeypatch.setattr(sumengine, "_BLOCK", SPLIT)
     assert len(sumengine._var_blocks(exact)) == 2
     grid = complete_grid(exact, 3, cap=3 ** 5, params=2)
@@ -527,7 +542,8 @@ def _reference_grid(spec, p, sign=1, params=0):
     cyclo_dft, whatever symmetry the field has."""
     _, weight, idx = trace_function_grid(spec, p)
     counts = cyclo_dft(sumengine._count_field(weight, idx, p), p, sign, params=params)
-    return counts, sumengine._render(counts, p, canonical=True)
+    counts -= counts.min(axis=-1, keepdims=True)
+    return counts, sumengine._render(counts, p)
 
 
 def _homogeneous(rng, n, d, first=0):
@@ -714,9 +730,12 @@ def test_complete_grid_values_bit_equal_whole_render(monkeypatch, tmp_path):
     # `values` renders the canonical counts in row blocks; the witness
     # columns of verify and catalog output depend on its float ties, so it
     # must match a single tensordot over the whole field bit for bit, both
-    # from complete_grid and read back from a binary dump
+    # from complete_grid and read back from a binary dump.  The first case
+    # has no scaling: a count field over several row blocks
     cubic = SumSpec(nvars=2, additive_phase=parse_poly("x1^3 + x1*x2^2", 2))
     cases = [
+        (SumSpec(nvars=2, additive_phase=parse_poly("x1^2*x2 + x1*x2 + x2", 2)), 61,
+         sumengine._BLOCK),
         (SumSpec(nvars=4, additive_phase=parse_poly("x1*x2 + x3*x4^2", 4)), 23,
          sumengine._BLOCK),
         (cubic, 127, sumengine._BLOCK),
@@ -729,6 +748,7 @@ def test_complete_grid_values_bit_equal_whole_render(monkeypatch, tmp_path):
     for spec, p, block in cases:
         monkeypatch.setattr(sumengine, "_BLOCK", block)
         grid = complete_grid(spec, p)
+        assert callable(grid._counts) == (spec is not cases[0][0])  # an orbit grid
         assert grid.counts.min(axis=-1).max() == 0  # canonical
         whole = np.tensordot(grid.counts, zeta_table(p), axes=([-1], [0]))
         assert np.array_equal(grid.values, whole), (p, block)
@@ -853,6 +873,16 @@ def test_split_grid_checks_the_whole_grid_cap_first(monkeypatch):
     assert len(sumengine._var_blocks(twisted)) == 2
     with pytest.raises(RuntimeError, match="on 4 variables"):  # whole grid
         complete_grid(twisted, 23, cap=23 ** 4)
+
+
+def test_split_grid_peak_memory():
+    # the blocks' spectra multiply into one running product, so the split
+    # grid at p = 23 peaks at 14.53 MiB, far below its 51 MB count array;
+    # one more spectrum of its 11 x 12,745 representative slots is 2.2 MB
+    p, spec = 23, SumSpec(nvars=4, additive_phase=parse_poly("x1*x2 + x3*x4^2", 4))
+    assert len(sumengine._var_blocks(spec)) == 2 and p ** 5 > sumengine._BLOCK
+    complete_grid(spec, p)  # field and zeta tables are cached
+    assert _traced_peak(complete_grid, spec, p) < 15 * 2 ** 20
 
 
 def test_split_grid_refuses_rounding_residual(monkeypatch):
