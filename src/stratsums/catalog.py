@@ -19,13 +19,14 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclo import zeta_table
-from .errors import DEFAULT_GRID_CAP
+from .errors import DEFAULT_GRID_CAP, CapExceeded
 from .ffield import FieldCtx, gauss_sum
 from .polyring import AffineVariety, IntPolynomial, parse_poly
 from .strat import (
     StratReport,
     VarietyChain,
     dual_points_mask,
+    slack_bound,
     smoothness_check,
     stratum_index_from_masks,
     verify_kl_masks,
@@ -68,33 +69,26 @@ class CatalogEntry:
     def verify(self, p: int, grid: SumGrid | None = None) -> StratReport:
         if grid is None:
             grid = self.grid(p)
-        excluded = self.N > 1 and self.N % p == 0
         return verify_kl_masks(grid.values, self.masks(p), p, self.C, self.d,
-                               excluded=excluded)
+                               self.N)
 
     def check_expected(self, report: StratReport):
         """Per-stratum max |S| of a `verify` report against C * p^{e/2} from
-        the expected table.  Exact-zero strata carry e = -inf.  Returns
-        (ok, rows)."""
-        p = report.p
+        the expected table, through `slack_bound`; exact-zero strata carry
+        e = -inf and must read at most 1e-9.  Returns (ok, rows), each row's
+        bound without the slack."""
         rows = []
-        ok = True
         for r in report.records:
-            i, max_abs = r.index, r.max_abs
-            e = self.expected_two_exp.get(i)
+            e = self.expected_two_exp.get(r.index)
             if e is None:
-                ok = False
-                rows.append((i, max_abs, None, False))
-                continue
-            if e == float("-inf"):
-                bound = 0.0
-                good = max_abs <= 1e-9
+                bound, good = None, False
+            elif e == float("-inf"):
+                bound, good = 0.0, r.max_abs <= 1e-9
             else:
-                bound = self.C * p ** (e / 2)
-                good = max_abs <= bound + 1e-6 * p ** (e / 2)
-            ok &= good
-            rows.append((i, max_abs, bound, good))
-        return ok, rows
+                scale = report.p ** (e / 2)
+                bound, good = self.C * scale, r.max_abs <= slack_bound(self.C, scale)
+            rows.append((r.index, r.max_abs, bound, good))
+        return all(good for *_, good in rows), rows
 
 
 # -- linear spaces ---------------------------------------------------------------
@@ -548,9 +542,16 @@ def quadratic_family(n: int) -> CatalogEntry:
 # -- Burgess product sums --------------------------------------------------------------
 
 
+def _check_burgess_cap(r: int, p: int):
+    """Refuse a parameter grid F_p^{2r} above the grid cap before allocating."""
+    if p ** (2 * r) > DEFAULT_GRID_CAP:
+        raise CapExceeded(f"Burgess grid {p}^{2 * r} exceeds cap {DEFAULT_GRID_CAP}")
+
+
 def burgess_sums(r: int, p: int, chi_order: int, chi_index: int = 1) -> np.ndarray:
     """B(a, b) = sum_x chi((x-a_1)...(x-a_r)) conj chi((x-b_1)...(x-b_r))
     over the full parameter grid F_p^{2r}."""
+    _check_burgess_cap(r, p)
     ctx = FieldCtx(p)
     tab = ctx.mult_char_table(chi_order, chi_index)
     a = [IntPolynomial.variable(i, r + 1) for i in range(r + 1)]
@@ -564,13 +565,11 @@ def burgess_sums(r: int, p: int, chi_order: int, chi_index: int = 1) -> np.ndarr
 def multiplicity_one_mask(r: int, p: int) -> np.ndarray:
     """True where some value occurs exactly once among (a_1..a_r, b_1..b_r):
     the locus where the square-root bound is asserted."""
-    grids = np.indices((p,) * (2 * r), dtype=np.int64)
+    _check_burgess_cap(r, p)
+    axes = np.ix_(*[np.arange(p)] * (2 * r))
     any_single = np.zeros((p,) * (2 * r), dtype=bool)
     for v in range(p):
-        cnt = np.zeros((p,) * (2 * r), dtype=np.int64)
-        for g in grids:
-            cnt += g == v
-        any_single |= cnt == 1
+        any_single |= sum((g == v).astype(np.int8) for g in axes) == 1
     return any_single
 
 
@@ -593,24 +592,22 @@ def burgess_check(r: int, p: int, order_cap: int | None = None) -> BurgessReport
     p - 1 (up to order_cap); plus a no-cancellation witness inside it."""
     if p <= 2 * r:
         raise ValueError("need p > 2r")
-    good = multiplicity_one_mask(r, p)
+    excluded = [~multiplicity_one_mask(r, p)]
     bound = (2 * r - 1) * math.sqrt(p)
     orders = sorted({2} | {o for o in range(2, p) if (p - 1) % o == 0
                            and (order_cap is None or o <= order_cap)})
+    witness = (0,) * (2 * r)
     violations = []
     max_good = 0.0
     for order in orders:
-        vals = np.abs(burgess_sums(r, p, order))
-        m = float(vals[good].max())
-        max_good = max(max_good, m)
-        if m > bound + 1e-6:
-            bad = good & (vals > bound + 1e-6)
-            for flat in np.flatnonzero(bad.reshape(-1))[:5]:
-                violations.append(
-                    (order, tuple(int(t) for t in
-                                  np.unravel_index(flat, vals.shape))))
-    witness = (0,) * (2 * r)
-    wval = float(np.abs(burgess_sums(r, p, 2))[witness])
+        vals = burgess_sums(r, p, order)
+        if order == 2:
+            wval = float(np.abs(vals[witness]))
+        # stratum 0, the multiplicity-one locus, has every violation: the
+        # excluded stratum's bound (2r-1) p is above the trivial |B| <= p - 1
+        report = verify_kl_masks(vals, excluded, p, 2 * r - 1, 1)
+        max_good = max(max_good, report.records[0].max_abs)
+        violations += [(order, h) for h, _, _ in report.violations[:5]]
     passed = not violations and wval >= p - 1 - bound
     return BurgessReport(r=r, p=p, orders=orders, max_on_good=max_good,
                          bound=bound, violations=violations,

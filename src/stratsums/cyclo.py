@@ -24,6 +24,8 @@ class CycloValue:
     __slots__ = ("p", "counts")
 
     def __init__(self, p: int, counts):
+        if p < 2:  # the canonical form needs 1 + zeta + ... + zeta^{p-1} = 0
+            raise ValueError(f"cyclotomic order p must be >= 2, got {p}")
         counts = [int(c) for c in counts]
         if len(counts) != p:
             raise ValueError(f"need {p} counts, got {len(counts)}")
@@ -39,15 +41,11 @@ class CycloValue:
 
     @classmethod
     def integer(cls, z: int, p: int) -> "CycloValue":
-        counts = [0] * p
-        counts[0] = z
-        return cls(p, counts)
+        return cls(p, [z] + [0] * (p - 1))
 
     @classmethod
     def root(cls, j: int, p: int, weight: int = 1) -> "CycloValue":
-        counts = [0] * p
-        counts[j % p] = weight
-        return cls(p, counts)
+        return cls.integer(weight, p).rotate(j)
 
     def __add__(self, other):
         self._check(other)
@@ -91,7 +89,7 @@ class CycloValue:
         if not self.is_integer():
             raise ValueError(f"{self!r} is not a rational integer")
         # c_0 + c*(zeta + ... + zeta^{p-1}) = c_0 - c
-        return self.counts[0] - (self.counts[1] if self.p > 1 else 0)
+        return self.counts[0] - self.counts[1]
 
     def to_complex(self) -> complex:
         """High-precision rendering via fsum over the root table."""

@@ -7,7 +7,8 @@ modulus N and a constant C, asserts that the sum family S(h) obeys
 
 whenever h lies on the stratum of index i (the largest i with h in X_i; 0 if
 none).  `verify_kl` checks this exhaustively against a complete grid and
-reports the minimal constant each stratum actually achieves, with witnesses.
+reports the minimal constant each stratum actually achieves, with witnesses;
+every stratified verdict makes its comparison through `slack_bound`.
 
 Stratum dimensions are never certified symbolically; the point-count shadow
 #X_j(F_p) <= kappa * p^(n-j) is checked instead (see `codim_shadow_check`).
@@ -211,14 +212,18 @@ class StratReport:
         return "\n".join(lines)
 
 
-def verify_kl_masks(values: np.ndarray, masks: list[np.ndarray], p: int,
-                    C: float, d: int, excluded: bool = False,
-                    slack: float = 1e-6) -> StratReport:
-    """Bound check of |values[h]| <= C p^{(d+i)/2} for mask-defined strata.
+def slack_bound(C: float, scale: float) -> float:
+    """The bound every stratified verdict compares |S| against:
+    C * scale + 1e-6 * scale, a float slack for the rendering of exact
+    values.  A value passes when it is <= this bound."""
+    return C * scale + 1e-6 * scale
 
-    The slack absorbs float rendering of exact values: the comparison uses
-    C p^{(d+i)/2} + slack * p^{(d+i)/2}.
-    """
+
+def verify_kl_masks(values: np.ndarray, masks: list[np.ndarray], p: int,
+                    C: float, d: int, N: int = 1) -> StratReport:
+    """Bound check of |values[h]| <= C p^{(d+i)/2} for mask-defined strata,
+    through `slack_bound`.  A prime dividing the excluded modulus N > 1 is
+    flagged (soft), never fatal."""
     ambient = values.ndim
     abs_vals = np.abs(values)
     idx = stratum_index_from_masks(masks, values.shape)
@@ -232,7 +237,7 @@ def verify_kl_masks(values: np.ndarray, masks: list[np.ndarray], p: int,
         witness = tuple(int(v) for v in np.unravel_index(flat_arg, values.shape))
         max_abs = float(abs_vals[witness])
         scale = p ** ((d + i) / 2)
-        bound = C * scale + slack * scale
+        bound = slack_bound(C, scale)
         viol = []
         if max_abs > bound:
             bad = sel & (abs_vals > bound)
@@ -247,18 +252,16 @@ def verify_kl_masks(values: np.ndarray, masks: list[np.ndarray], p: int,
     total = sum(r.count for r in records)
     if total != p ** ambient:
         raise AssertionError("stratum records do not partition the grid")
-    return StratReport(p=p, ambient=ambient, C=C, d=d, excluded_prime=excluded,
+    return StratReport(p=p, ambient=ambient, C=C, d=d,
+                       excluded_prime=N > 1 and N % p == 0,
                        records=records, violations=violations,
                        passed=not violations)
 
 
-def verify_kl(datum: KLDatum, grid: SumGrid, slack: float = 1e-6) -> StratReport:
-    """Check one complete grid against a stratification datum.  A prime
-    dividing N is flagged (soft), never fatal."""
-    excluded = datum.N % grid.p == 0 if datum.N > 1 else False
-    masks = datum.chain.masks(grid.p)
-    return verify_kl_masks(grid.values, masks, grid.p, datum.C, datum.d,
-                           excluded=excluded, slack=slack)
+def verify_kl(datum: KLDatum, grid: SumGrid) -> StratReport:
+    """Check one complete grid against a stratification datum."""
+    return verify_kl_masks(grid.values, datum.chain.masks(grid.p), grid.p,
+                           datum.C, datum.d, datum.N)
 
 
 def empirical_exponent_map(grid: SumGrid) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 from stratsums import catalog
 from stratsums.catalog import (
     CATALOG,
+    CatalogEntry,
     _family_delta_ft_grid,
     build_entry,
     burgess_check,
@@ -26,7 +27,7 @@ from stratsums.catalog import (
 from stratsums.cyclo import CycloValue
 from stratsums.errors import CapExceeded
 from stratsums.polyring import AffineVariety, IntPolynomial, parse_poly
-from stratsums.strat import empirical_exponent_map
+from stratsums.strat import StratReport, StratumRecord, empirical_exponent_map
 from stratsums.sumengine import SumSpec, complete_grid
 
 
@@ -410,6 +411,29 @@ def test_burgess_check_r2_p7():
     assert report.witness_value == pytest.approx(6.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("over, passed", [(0.5e-6, True), (2e-6, False)])
+def test_burgess_check_slack_is_relative(monkeypatch, over, passed):
+    # |B| = p - 1 at the witness, C sqrt(p) + over sqrt(p) at the good point (0, 1)
+    p = 7
+    vals = np.zeros((p, p), dtype=np.complex128)
+    vals[0, 0] = p - 1
+    vals[0, 1] = math.sqrt(p) + over * math.sqrt(p)
+    monkeypatch.setattr(catalog, "burgess_sums", lambda r, p, order: vals)
+    report = burgess_check(1, p, order_cap=2)
+    assert report.passed == passed
+    assert report.max_on_good == abs(vals[0, 1])
+    assert report.violations == ([] if passed else [(2, (0, 1))])
+
+
+def test_burgess_arrays_are_capped_before_allocating(monkeypatch):
+    monkeypatch.setattr(catalog, "DEFAULT_GRID_CAP", 100)  # 11^2 cells are over it
+    for build in (lambda: burgess_sums(1, 11, 2), lambda: multiplicity_one_mask(1, 11),
+                  lambda: burgess_check(1, 11)):
+        with pytest.raises(CapExceeded, match="11\\^2 exceeds cap 100"):
+            build()
+    assert burgess_sums(1, 7, 2).shape == (7, 7)
+
+
 def test_burgess_requires_p_above_2r():
     with pytest.raises(ValueError):
         burgess_check(2, 3)
@@ -438,6 +462,20 @@ def test_check_expected_flags_missing_and_low_exponents():
     assert missing.check_expected(report) == (
         False, [(0, 5.0, 10.0, True), (1, 20.0, None, False),
                 (3, 145.0, 250.0, True)])
+
+
+@pytest.mark.parametrize("over, good", [(0.5e-6, True), (2e-6, False)])
+def test_check_expected_slack_is_relative(over, good):
+    # expected e = 3 at p = 5: the bound is C 5^{3/2}, the slack 1e-6 5^{3/2}
+    entry = CatalogEntry(name="t", ambient=1, d=1, C=2.0, N=1,
+                         expected_two_exp={0: 3}, params={}, notes="",
+                         test_primes=())
+    scale = 5 ** 1.5
+    value = 2.0 * scale + over * scale
+    report = StratReport(p=5, ambient=1, C=2.0, d=1, excluded_prime=False,
+                         records=[StratumRecord(0, 5, value, value / scale, (0,))],
+                         violations=[], passed=True)
+    assert entry.check_expected(report) == (good, [(0, value, 2.0 * scale, good)])
 
 
 def test_every_entry_passes_at_its_test_primes():

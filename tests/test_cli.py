@@ -274,6 +274,13 @@ def test_catalog_build_linear_space_flat_basis(capsys, tmp_path):
     assert "multiple of n=3" in err
 
 
+def test_catalog_burgess_over_cap_exit_3(capsys):
+    # 101^4 parameters are refused before any array is allocated
+    code, _, err = run(capsys, "catalog", "build", "burgess_family",
+                       "--params", "r=2", "--p", "101")
+    assert code == 3 and "exceeds cap" in err
+
+
 def test_catalog_unknown_exit_2(capsys):
     code, _, err = run(capsys, "catalog", "build", "nope")
     assert code == 2

@@ -20,6 +20,20 @@ def test_relation_all_roots_sum_to_zero():
     assert abs(v.to_complex()) < 1e-12
 
 
+@pytest.mark.parametrize("build, args", [
+    (CycloValue.integer, (7, 0)),  # the arguments swapped
+    (CycloValue.integer, (3, 1)),
+    (CycloValue.root, (1, 0)),
+    (CycloValue.root, (0, -2)),
+    (CycloValue.zero, (0,)),
+    (CycloValue, (1, [4])),
+], ids=["integer-p0", "integer-p1", "root-p0", "root-p-2", "zero-p0", "init-p1"])
+def test_order_below_two_is_refused(build, args):
+    # p = 1 has no relation 1 + zeta + ... + zeta^{p-1} = 0 to canonicalize by
+    with pytest.raises(ValueError, match="order p must be >= 2"):
+        build(*args)
+
+
 def test_arithmetic_and_rotation():
     a = CycloValue.root(1, 3)
     b = CycloValue.root(2, 3)

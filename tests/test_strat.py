@@ -114,6 +114,10 @@ def test_verify_kl_excluded_prime_flag():
     assert report.excluded_prime
     datum2 = KLDatum(chain=linear_chain(3), N=3, C=1.0, d=1)
     assert not verify_kl(datum2, grid).excluded_prime
+    masks = linear_chain(3).masks(5)
+    for N, excluded in [(1, False), (5, True), (10, True), (3, False)]:
+        assert verify_kl_masks(grid.values, masks, 5, 1.0, 1, N).excluded_prime is excluded
+    assert verify_kl_masks(grid.values, masks, 5, 1.0, 1).excluded_prime is False
 
 
 def test_witnesses_achieve_min_C():
@@ -207,6 +211,20 @@ def test_verify_kl_masks_matches_unique_reference():
             assert report.violations == violations
             assert report.passed == (not violations)
             assert 3 not in [r.index for r in report.records]
+
+
+@pytest.mark.parametrize("over, passed", [(0.5e-6, True), (2e-6, False)])
+def test_verify_kl_masks_slack_is_relative(over, passed):
+    # stratum 1 of F_5 has scale 5^{(1 + 1)/2}; a reported bound includes the slack
+    p, C, d = 5, 2.0, 1
+    masks = [np.arange(p) >= 3]
+    scale = p ** ((d + 1) / 2)
+    values = np.zeros(p, dtype=np.complex128)
+    values[4] = C * scale + over * scale
+    report = verify_kl_masks(values, masks, p, C, d)
+    assert report.passed == passed
+    assert report.violations == ([] if passed else
+                                 [((4,), abs(values[4]), C * scale + 1e-6 * scale)])
 
 
 def test_exponent_map_linear_space():
