@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import random
 import sys
@@ -294,6 +295,7 @@ def cmd_dual(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args does not change the parser; one per process
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="stratsums",

@@ -1,9 +1,9 @@
 """Exact Z[zeta_p] values for purely additive character sums.
 
-A CycloValue stores the integer vector (c_0..c_{p-1}) of sum c_j zeta_p^j.
-The representation is unique modulo the all-ones vector (1 + zeta + ... +
-zeta^{p-1} = 0); the canonical form subtracts the minimum so min(c) = 0,
-making equality and hashing exact.
+A CycloValue stores the integer vector (c_0..c_{p-1}) of sum c_j zeta_p^j,
+p prime.  The representation is unique modulo the all-ones vector (1 +
+zeta + ... + zeta^{p-1} = 0); the canonical form subtracts the minimum so
+min(c) = 0, making equality and hashing exact.
 """
 
 from __future__ import annotations
@@ -12,6 +12,21 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -24,8 +39,10 @@ class CycloValue:
     __slots__ = ("p", "counts")
 
     def __init__(self, p: int, counts):
-        if p < 2:  # the canonical form needs 1 + zeta + ... + zeta^{p-1} = 0
-            raise ValueError(f"cyclotomic order p must be >= 2, got {p}")
+        # the canonical form needs 1 + zeta + ... + zeta^{p-1} = 0 to be the
+        # only relation, which holds exactly when p is prime
+        if not is_prime(p):
+            raise ValueError(f"cyclotomic order p must be >= 2 and prime, got {p}")
         counts = [int(c) for c in counts]
         if len(counts) != p:
             raise ValueError(f"need {p} counts, got {len(counts)}")

@@ -2,8 +2,11 @@
 
 A FieldCtx owns one concrete model of F_{p^m}: a monic irreducible modulus
 over F_p, a fixed multiplicative generator, and (lazily) discrete-log and
-trace tables.  Elements are immutable coefficient vectors, and every
-operation is a pure function.
+trace tables.  The vectorized kernels see the field only through
+multiplication matrices over F_p (`mul_matrices`; the trace is their
+matrix trace), and so does the generator search at m >= 2.  FieldElem,
+an immutable coefficient vector with pure-function arithmetic, is the
+scalar reference the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -13,23 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import zeta_table
+from .cyclo import is_prime, zeta_table
 from .errors import CapExceeded, DEFAULT_FIELD_CAP
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def prime_factors(n: int) -> list[int]:
@@ -218,12 +206,13 @@ class FieldCtx:
         self.m = m
         self.q = p ** m
         if modulus is None:
-            modulus = least_irreducible(p, m)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree m")
-        if not poly_is_irreducible(list(modulus), p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+            modulus = least_irreducible(p, m)  # irreducible: tested there
+        else:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != m + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree m")
+            if not poly_is_irreducible(list(modulus), p):
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
         self._zero = FieldElem(self, (0,) * m)
         self._one = FieldElem(self, (1,) + (0,) * (m - 1))
@@ -333,20 +322,55 @@ class FieldCtx:
 
     @property
     def generator(self) -> FieldElem:
-        """A fixed generator of the multiplicative group, order q - 1."""
+        """A fixed generator of the multiplicative group, order q - 1: the
+        least rank r >= 2 with r^((q-1)/f) != 1 for every prime f | q-1, or
+        the unit itself when q = 2."""
         if self._generator is None:
-            factors = prime_factors(self.q - 1)
-            for r in range(2, self.q):
-                g = self.from_rank(r)
-                if g.is_zero():
-                    continue
-                if all(not self.pow(g, (self.q - 1) // f) == self._one
-                       for f in factors):
-                    self._generator = g
-                    break
-            else:  # q = 2: the unit itself
-                self._generator = self._one
+            p, q = self.p, self.q
+            exps = [(q - 1) // f for f in prime_factors(q - 1)]
+            if self.m == 1:  # Python ints: numpy set-up costs more at this size
+                rank = next((r for r in range(2, p)
+                             if all(pow(r, e, p) != 1 for e in exps)), 1)
+            else:
+                rank = self._least_generator_rank(exps)
+            self._generator = self.from_rank(rank)
         return self._generator
+
+    def _least_generator_rank(self, exps) -> int:
+        """The search of `generator` at m >= 2, in growing batches of
+        candidates: a^e = 1 exactly when M_a^e e_0 = coeffs(a^e) is e_0, and
+        each e multiplies e_0 by the squares M_a^(2^k) of its set bits."""
+        p, one, lo, size = self.p, np.eye(1, self.m, dtype=np.int64), 2, 4
+        while True:
+            ranks = np.arange(lo, min(lo + size, self.q))
+            squares = [self.mul_matrices(ranks)]
+            for _ in range(max(exps).bit_length() - 1):
+                squares.append(squares[-1] @ squares[-1] % p)
+            ok = np.ones(len(ranks), dtype=bool)
+            for e in exps:
+                v = np.repeat(one, len(ranks), axis=0)
+                for k in range(e.bit_length()):
+                    if e >> k & 1:
+                        v = np.einsum("bij,bj->bi", squares[k], v) % p
+                ok &= (v != one).any(axis=1)
+            if ok.any():
+                return int(ranks[ok.argmax()])
+            lo, size = lo + size, 2 * size
+
+    def mul_matrices(self, ranks) -> np.ndarray:
+        """Multiplication matrices over F_p of the elements of the given
+        ranks, shape (len(ranks), m, m): with C the companion matrix of the
+        modulus, M_a = sum_i a_i C^i maps coeffs(y) to coeffs(a y), and
+        trace(M_a) = Tr(a).  Entries stay below m p^2 before each
+        reduction, inside int64 under the field cap."""
+        p, m = self.p, self.m
+        C = np.eye(m, k=-1, dtype=np.int64)
+        C[:, -1] = [-c % p for c in self.modulus[:m]]
+        powers = [np.eye(m, dtype=np.int64)]
+        for _ in range(m - 1):
+            powers.append(C @ powers[-1] % p)
+        digits = np.asarray(ranks, dtype=np.int64)[:, None] // p ** np.arange(m) % p
+        return np.tensordot(digits, np.array(powers), axes=1) % p
 
     def _build_dlog(self):
         g = self.generator
@@ -425,30 +449,6 @@ class FieldCtx:
                 tr += ((ranks // self.p ** i) % self.p) * basis_tr[i]
             self._trace_table = tr % self.p
         return self._trace_table
-
-    def min_poly(self, x: FieldElem) -> list[int]:
-        """Minimal polynomial of x over F_p (monic coefficient list, low first).
-
-        Computed as the product over the Frobenius orbit of x."""
-        orbit = [x]
-        conj = self.frobenius(x)
-        while conj != x:
-            orbit.append(conj)
-            conj = self.frobenius(conj)
-        # expand prod (X - c) with coefficients in the extension
-        poly = [self._one]
-        for c in orbit:
-            nxt = [self._zero] * (len(poly) + 1)
-            for i, a in enumerate(poly):
-                nxt[i + 1] = self.add(nxt[i + 1], a)
-                nxt[i] = self.sub(nxt[i], self.mul(a, c))
-            poly = nxt
-        out = []
-        for coef in poly:
-            if any(c != 0 for c in coef.coeffs[1:]):
-                raise AssertionError("minimal polynomial has non-base coefficients")
-            out.append(coef.coeffs[0])
-        return out  # degree = orbit size, monic
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, m={self.m}, modulus={self.modulus})"

@@ -38,32 +38,23 @@ class PowerSumSequence:
 
 
 def generator_power_traces(ctx: FieldCtx) -> np.ndarray:
-    """s_b = Tr(g^b) for b in [0, q-1), via the linear recurrence whose
-    characteristic polynomial is the minimal polynomial of the generator.
-    A generator is primitive, so its minimal polynomial has full degree m.
+    """s_b = Tr(g^b) for b in [0, q-1), from the multiplication matrix M of
+    the generator and tau_i = Tr(x^i), the traces of the power basis:
+    s_b = tau . M^b e_0, as M^b e_0 = coeffs(g^b) and Tr is F_p-linear.
 
-    With M the companion matrix, the windows W[b] = (s[b], .., s[b+m-1])
-    obey W[b+1] = W[b] M, so s[jL + r] = W[0] M^(jL) . M^r e_0: both factor
-    lists are built by doubling and meet in one product.  Entries stay below
-    m p^2 before each reduction, inside int64 under the field cap."""
+    With L^2 >= q-1, s[jL + r] = (tau M^(jL)) . (M^r e_0): both factor
+    lists are built by doubling and meet in one product.  Entries stay
+    below m p^2 before each reduction, inside int64 under the field cap."""
     q, p, m = ctx.q, ctx.p, ctx.m
-    g = ctx.generator
-    mp = ctx.min_poly(g)
-    if len(mp) - 1 != m:
-        raise AssertionError("generator minimal polynomial is not full degree")
-    M = np.eye(m, k=-1, dtype=np.int64)  # W[b+1][j] = W[b][j+1] for j < m-1
-    M[:, -1] = [(-c) % p for c in mp[:m]]  # s[b+m] = sum_k -mp[k] s[b+k]
-    first, acc = [], ctx.one()
-    for _ in range(m):
-        first.append(ctx.trace_to_base(acc))
-        acc = ctx.mul(acc, g)
+    mats = ctx.mul_matrices([ctx.generator.rank] + [p ** i for i in range(m)])
+    M, tau = mats[0], np.trace(mats[1:], axis1=1, axis2=2) % p
     t = ((q - 2).bit_length() + 1) // 2
     L = 1 << t  # L^2 >= q-1
     ML = M
     for _ in range(t):
         ML = ML @ ML % p
     cols = _orbit(np.eye(1, m, dtype=np.int64)[0], M.T, L, p)  # (M^r e_0)^T
-    rows = _orbit(np.array(first, dtype=np.int64), ML, -(-(q - 1) // L), p)
+    rows = _orbit(tau, ML, -(-(q - 1) // L), p)
     return (rows @ cols.T % p).reshape(-1)[:q - 1]
 
 
@@ -93,7 +84,8 @@ def trace_windows(ctx: FieldCtx) -> np.ndarray:
 
 
 def poly_windows(f: IntPolynomial, ks, size: int, W, p: int) -> np.ndarray:
-    """Trace windows of f on a block of `size` points, shape (size, m).
+    """Trace windows of f on a block of `size` points, shape (size,) +
+    W.shape[1:]: (size, m) for the windows W, (size,) for the traces W[:, 0].
 
     ks[i] holds the exponents k of x_i = g^k, or None where x_i = 0.  A term
     c x^e is c W[sum_i e_i k_i], and windows add digit-wise (the window map
@@ -104,7 +96,7 @@ def poly_windows(f: IntPolynomial, ks, size: int, W, p: int) -> np.ndarray:
     a digit below T p^2 for T terms, which int64 holds for n, T < 2^11
     within the field cap (q <= 2^26)."""
     qm1 = len(W)
-    out = np.zeros((size, W.shape[1]), dtype=np.int64)
+    out = np.zeros((size,) + W.shape[1:], dtype=np.int64)
     for exps, coeff in f.terms.items():
         if coeff % p == 0 or any(e and k is None for e, k in zip(exps, ks)):
             continue
@@ -172,7 +164,7 @@ def summand_blocks(spec: SumSpec, ctx: FieldCtx):
                 inside &= ~poly_windows(gen, ks, size, W, p).any(axis=1)
             ks = [None if k is None else k[inside] for k in ks]
             size = int(inside.sum())
-        phase = poly_windows(phase_poly, ks, size, W[:, :1], p)[:, 0]  # Tr only
+        phase = poly_windows(phase_poly, ks, size, W[:, 0], p)  # Tr only
         amp = np.ones(size, dtype=np.int64) if F is None \
             else _root_counts(F, ks, size, W, p)
         twist_zeros = 0

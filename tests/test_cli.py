@@ -11,7 +11,7 @@ import pytest
 
 import stratsums
 from stratsums.catalog import CATALOG
-from stratsums.cli import main
+from stratsums.cli import build_parser, main
 from stratsums.ffield import FieldCtx
 from stratsums.polyring import AffineVariety, parse_poly
 from stratsums.strat import VarietyChain
@@ -22,6 +22,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_module(*argv):
+    """`python -m stratsums argv` in a fresh process."""
+    src = os.path.dirname(os.path.dirname(stratsums.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "stratsums", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_sum_square_phase_p3(capsys):
@@ -349,11 +358,24 @@ def test_workers_option_is_gone(capsys):
         assert why in capsys.readouterr().err
 
 
+def test_parser_built_once_serves_every_call(capsys):
+    # main reuses one parser per process: calls after the first, and after a
+    # parse error, read the same as a call in a fresh process
+    argv = ["sum", "--p", "5", "--f", "x1^2 + x1", "--n", "1"]
+    first = run(capsys, *argv)
+    assert first[0] == 0 and run(capsys, *argv) == first
+    with pytest.raises(SystemExit) as exc:
+        main(["sum", "--f", "x1"])
+    assert exc.value.code == 2
+    assert "--p" in capsys.readouterr().err
+    assert run(capsys, "sum", "--p", "5", "--f", "x1*")[0] == 2
+    assert run(capsys, *argv) == first
+    assert build_parser() is build_parser()
+    done = run_module(*argv)
+    assert (done.returncode, done.stdout) == first[:2]
+
+
 def test_module_entry_point_lists_catalog():
-    src = os.path.dirname(os.path.dirname(stratsums.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-m", "stratsums", "catalog", "list"],
-                          capture_output=True, text=True, env=env, timeout=120)
+    done = run_module("catalog", "list")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == sorted(CATALOG)

@@ -34,6 +34,14 @@ def test_order_below_two_is_refused(build, args):
         build(*args)
 
 
+@pytest.mark.parametrize("p", [4, 6, 9, 15])
+def test_composite_order_is_refused(p):
+    # 1 + zeta_4^2 = 0: for composite p the all-ones vector is not the only
+    # relation, and the canonical form would not make equality exact
+    with pytest.raises(ValueError, match=f"prime, got {p}"):
+        CycloValue(p, [1] + [0] * (p - 1))
+
+
 def test_arithmetic_and_rotation():
     a = CycloValue.root(1, 3)
     b = CycloValue.root(2, 3)

@@ -14,6 +14,7 @@ from stratsums.ffield import (
     FieldCtx,
     least_irreducible,
     next_irreducible,
+    prime_factors,
     quadratic_gauss_sum,
 )
 from stratsums.polyring import AffineVariety, IntPolynomial, parse_poly
@@ -40,6 +41,49 @@ def test_generator_power_traces_match_direct():
         for b in range(ctx.q - 1):
             assert s[b] == ctx.trace_to_base(acc)
             acc = ctx.mul(acc, ctx.generator)
+
+
+def _scalar_generator(ctx):
+    """The generator search by FieldElem powers: the least rank >= 2 whose
+    (q-1)/f-th power is not 1 for any prime f | q-1, else the unit."""
+    exps = [(ctx.q - 1) // f for f in prime_factors(ctx.q - 1)]
+    for r in range(2, ctx.q):
+        if all(ctx.from_rank(r) ** e != ctx.one() for e in exps):
+            return ctx.from_rank(r)
+    return ctx.one()
+
+
+def _matrix_model_fields():
+    rng = random.Random(0)
+    primes = [p for p in range(3, 1024) if prime_factors(p) == [p]]
+    fields = [(2, m) for m in range(1, 14)] + [(65521, 1), (rng.choice(primes), 1)]
+    while len(fields) < 21:
+        p = rng.choice(primes[:12])
+        m = rng.randint(2, int(math.log(1 << 20, p)))
+        fields.append((p, m))
+    return fields
+
+
+@pytest.mark.parametrize("p, m", _matrix_model_fields())
+def test_matrix_model_matches_scalar_field(p, m):
+    # the generator search and the trace sequence run on multiplication
+    # matrices; FieldElem arithmetic is the reference, also on a second
+    # modulus passed by the caller
+    rng = random.Random(f"{p}^{m}")
+    moduli = [None]
+    if m > 1 and p ** m > 4:  # F_4 has a single model
+        moduli.append(next_irreducible(p, m, least_irreducible(p, m)))
+    for modulus in moduli:
+        ctx = FieldCtx(p, m, modulus=modulus)
+        g = ctx.generator
+        assert g == _scalar_generator(ctx)
+        s = generator_power_traces(ctx)
+        assert s.shape == (ctx.q - 1,)
+        for b in [0, ctx.q - 2] + [rng.randrange(ctx.q - 1) for _ in range(5)]:
+            assert s[b] == ctx.trace_to_base(g ** b)
+    if m > 1:  # x^m: a reducible modulus from the caller is still refused
+        with pytest.raises(ValueError, match="reducible"):
+            FieldCtx(p, m, modulus=(0,) * m + (1,))
 
 
 DIFF_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
