@@ -2,7 +2,7 @@
 
 A FieldCtx owns one concrete model of F_{p^m}: a monic irreducible modulus
 over F_p, a fixed multiplicative generator, and (lazily) discrete-log and
-trace tables.  The vectorized kernels see the field only through
+trace tables.  The extension-sum kernel sees the field only through
 multiplication matrices over F_p (`mul_matrices`; the trace is their
 matrix trace), and so does the generator search at m >= 2.  FieldElem,
 an immutable coefficient vector with pure-function arithmetic, is the
