@@ -35,6 +35,19 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def orbit_minima(c: int, N: int):
+    """(mins, sizes): the least element of each orbit of x -> c x on Z/N, c a
+    unit mod N, in increasing order, and each orbit's size.  One pass over
+    Z/N per power of c below its order."""
+    x = np.arange(N, dtype=np.int64)
+    least, cj = x.copy(), c % N
+    while cj != 1 % N:
+        np.minimum(least, x * cj % N, out=least)
+        cj = cj * c % N
+    mins = np.flatnonzero(least == x)
+    return mins, np.bincount(least, minlength=N)[mins]
+
+
 # -- dense univariate polynomial helpers over F_p (coefficient lists, low
 #    degree first, no trailing zeros) --------------------------------------
 

@@ -307,7 +307,7 @@ def _projective_windows(polys, n: int, p: int, max_ext: int):
                 f"exceeds cap {_PROJECTIVE_CAP}")
         W = trace_windows(FieldCtx(p, e))
         for lead in range(n):
-            for tail, size in face_blocks(n - lead - 1, False, q - 1, _BLOCK):
+            for tail, size, _ in face_blocks(n - lead - 1, False, q - 1, _BLOCK):
                 ks = [None] * lead + [np.zeros(size, dtype=np.int64), *tail]
                 yield [poly_windows(f, ks, size, W, p) for f in polys]
 

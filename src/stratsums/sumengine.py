@@ -40,7 +40,7 @@ import numpy as np
 
 from .cyclo import CycloValue, zeta_table
 from .errors import CapExceeded, DEFAULT_ENUM_CAP, DEFAULT_GRID_CAP, ParseError
-from .ffield import FieldCtx, gauss_sum
+from .ffield import FieldCtx, gauss_sum, orbit_minima
 from .polyring import AffineVariety, IntPolynomial
 
 _WEIGHT_KINDS = ("root_count", "kloosterman_phase", "kloosterman_value")
@@ -557,19 +557,6 @@ def _diagonal_scaling(blocks: list[list[int]], scalings: list, p: int, n: int):
     return lam, t
 
 
-def _coset_minima(c: int, p: int):
-    """The least element of each coset of <c> in F_p^*, and the order of c."""
-    sub = [1]
-    while (x := sub[-1] * c % p) != 1:
-        sub.append(x)
-    sub, free, mins = np.array(sub), np.ones(p, dtype=bool), []
-    for x in range(1, p):
-        if free[x]:
-            mins.append(x)
-            free[x * sub % p] = False
-    return np.array(mins, dtype=np.int64), len(sub)
-
-
 def _orbit_points(lam: np.ndarray, p: int) -> np.ndarray:
     """The flat row-major index of one point h per orbit of h -> lam h on
     (p,)*n.  Axis by axis, a point takes 0 or the least element of its
@@ -579,9 +566,10 @@ def _orbit_points(lam: np.ndarray, p: int) -> np.ndarray:
     for c in lam.tolist():
         grown = {}
         for e, at in points.items():
-            mins, order = _coset_minima(pow(c, e, p), p)
+            mins, sizes = orbit_minima(pow(c, e, p), p)
+            order = int(sizes[-1])  # of c^e: the size of every nonzero orbit, p prime
             grown.setdefault(e, []).append(at * p)
-            grown.setdefault(e * order, []).append(((at * p)[:, None] + mins).ravel())
+            grown.setdefault(e * order, []).append(((at * p)[:, None] + mins[1:]).ravel())
         points = {e: np.concatenate(parts) for e, parts in grown.items()}
     return np.concatenate(list(points.values()))
 

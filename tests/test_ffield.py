@@ -13,6 +13,7 @@ from stratsums.ffield import (
     is_prime,
     least_irreducible,
     next_irreducible,
+    orbit_minima,
     poly_is_irreducible,
     quadratic_gauss_sum,
 )
@@ -60,6 +61,25 @@ def test_modulus_irreducibility_rejects_reducible():
     assert not poly_is_irreducible([4, 0, 1], 5)
     with pytest.raises(ValueError):
         FieldCtx(5, 2, modulus=(4, 0, 1))
+
+
+def test_orbit_minima_match_an_orbit_walk():
+    # x -> c x mod N for every unit c of a prime N (the scaling orbits of
+    # F_p^*, and 0) and for c = p, N = p^m - 1 (the Frobenius orbits of the
+    # exponents k of g^k), against walking each orbit
+    cases = [(c, N) for N in (2, 3, 7, 13) for c in range(1, N)]
+    cases += [(p, p ** m - 1) for p, m in [(2, 1), (2, 4), (2, 6), (3, 2), (3, 4), (5, 3)]]
+    for c, N in cases:
+        orbits = {}
+        for x in range(N):
+            orbit, y = [x], x * c % N
+            while y != x:
+                orbit.append(y)
+                y = y * c % N
+            orbits[min(orbit)] = len(orbit)
+        mins, sizes = orbit_minima(c, N)
+        assert mins.tolist() == sorted(orbits), (c, N)
+        assert sizes.tolist() == [orbits[x] for x in sorted(orbits)], (c, N)
 
 
 def test_field_cap_fails_loudly():

@@ -2,13 +2,14 @@
 
 import cmath
 import dataclasses
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from stratsums import sumengine
+from stratsums import spectral, sumengine
 from stratsums.errors import RankTooHigh
 from stratsums.ffield import (
     FieldCtx,
@@ -28,7 +29,7 @@ from stratsums.spectral import (
     snap_weight,
     weight_check,
 )
-from stratsums.sumengine import SumSpec, complete_grid, eval_sum
+from stratsums.sumengine import SumSpec, complete_grid, eval_sum, r_F
 
 KLOOSTERMAN = SumSpec(nvars=1, trace_weight=("kloosterman_phase", 1), torus=True)
 
@@ -171,6 +172,29 @@ def test_extension_sum_kernel_matches_eval_sum():
             p, m = rng.choice(DIFF_FIELDS)
             cases.append((_random_spec(rng, kind, p, m), p, m))
     _assert_kernel_matches_eval_sum(cases)
+
+
+def test_orbit_quotient_matches_eval_sum_and_the_full_sweep(monkeypatch):
+    # seeded specs in 2 or 3 variables over F_{p^m}, m >= 2, where the kernel
+    # takes one point per Frobenius orbit of a face's first coordinate unless
+    # a twist enters: against enumeration, and bit for bit against the
+    # kernel on the trivial transversal (every exponent, orbit size 1)
+    rng = random.Random(20261020)
+    cases = []
+    for kind in ("variety", "phase", "torus", "linear_form", "root_count",
+                 "half_twist", "twist"):
+        for _ in range(5):
+            spec = None
+            while spec is None or spec.nvars < 2:
+                p, m = rng.choice([(2, 2), (2, 3), (2, 4), (3, 2)])
+                spec = _random_spec(rng, kind, p, m)
+            cases.append((spec, p, m))
+    _assert_kernel_matches_eval_sum(cases)
+    quotient = [extension_sum(spec, FieldCtx(p, m)) for spec, p, m in cases]
+    monkeypatch.setattr(spectral, "orbit_minima",
+                        lambda c, N: (np.arange(N), np.ones(N, dtype=np.int64)))
+    for (spec, p, m), got in zip(cases, quotient):
+        assert got == extension_sum(spec, FieldCtx(p, m)), (spec, p, m)
 
 
 def test_complete_grid_matches_eval_sum_every_kind(monkeypatch):
@@ -415,6 +439,17 @@ def test_quasi_orthonormality_constant_diverges():
     report = quasi_orthonormality(SumSpec(nvars=1), 3, 4)
     assert report.values == [3.0, 9.0, 27.0, 81.0]
     assert report.final_gap > 1
+
+
+def test_quasi_orthonormality_counts_each_orbit_point_by_its_size():
+    # Q_n = sum_x r_F(x)^2 against enumeration: the kernel's orbit points
+    # enter as mult * r^2; (mult * r)^2 would read [22, 250, 3838]
+    F = parse_poly("x1^2 - x2*x3 - 1", nvars=3)
+    report = quasi_orthonormality(SumSpec(nvars=2, trace_weight=("root_count", F)), 3, 3)
+    for m, got in enumerate(report.values, start=1):
+        ctx = FieldCtx(3, m)
+        points = itertools.product(list(ctx.elements()), repeat=2)
+        assert got == sum(r_F(F, list(x), ctx) ** 2 for x in points), m
 
 
 def test_kloosterman_value_weight_matches_brute_force():

@@ -140,7 +140,7 @@ def _kernel_trace_grid(spec, p):
     exact = spec.is_exact()
     weight = np.zeros(shape, dtype=np.int64 if exact else np.complex128)
     idx = np.zeros(shape, dtype=np.int64)
-    for ks, phase, amp, _, _ in summand_blocks(spec, ctx):
+    for ks, phase, amp, _, _, _ in summand_blocks(spec, ctx):
         at = np.zeros(len(phase), dtype=np.int64)
         for k in ks:
             at = at * p + (0 if k is None else ctx.exp_ranks[k])
