@@ -42,7 +42,8 @@ def orbit_minima(c: int, N: int):
     x = np.arange(N, dtype=np.int64)
     least, cj = x.copy(), c % N
     while cj != 1 % N:
-        np.minimum(least, x * cj % N, out=least)
+        y = x * cj
+        np.minimum(least, y - y // N * N, out=least)  # numpy's `%` is slower
         cj = cj * c % N
     mins = np.flatnonzero(least == x)
     return mins, np.bincount(least, minlength=N)[mins]

@@ -7,7 +7,7 @@ one orbit of k -> p k mod q-1 sum to the orbit's size times those at its
 least element.  At m >= 2, a face with two or more live coordinates is
 swept that way.  A twist is swept in full, chi(z^p) = chi(z)^p, and so are
 one-variable faces: at q = 5^8 the orbit table's m passes over q-1 take
-39 ms, more than the Kloosterman sweep over m <= 8 (26 ms, 2-core Xeon VM).
+35 ms, more than the Kloosterman sweep over m <= 8 (15 ms, 2-core Xeon VM).
 
 The sums S_n = sum_{x in V(k_n)} t(x) of a fixed spec over growing field
 extensions form a generalized power-sum sequence sum_j eps_j m_j alpha_j^n.
@@ -53,7 +53,9 @@ def generator_power_traces(ctx: FieldCtx) -> np.ndarray:
 
     With L^2 >= q-1, s[jL + r] = (tau M^(jL)) . (M^r e_0): both factor
     lists are built by doubling and meet in one product.  Entries stay
-    below m p^2 before each reduction, inside int64 under the field cap."""
+    below m p^2 before each reduction, inside int64 under the field cap.
+    The product runs in float64 (BLAS) while m (p-1)^2 < 2^53, where its
+    partial sums are exact integers, and in int64 above that."""
     q, p, m = ctx.q, ctx.p, ctx.m
     mats = ctx.mul_matrices([ctx.generator.rank] + [p ** i for i in range(m)])
     M, tau = mats[0], np.trace(mats[1:], axis1=1, axis2=2) % p
@@ -64,7 +66,13 @@ def generator_power_traces(ctx: FieldCtx) -> np.ndarray:
         ML = ML @ ML % p
     cols = _orbit(np.eye(1, m, dtype=np.int64)[0], M.T, L, p)  # (M^r e_0)^T
     rows = _orbit(tau, ML, -(-(q - 1) // L), p)
-    return (rows @ cols.T % p).reshape(-1)[:q - 1]
+    rows, cols = (a.astype(_product_dtype(p, m)) for a in (rows, cols))
+    return ((rows @ cols.T).astype(np.int64) % p).reshape(-1)[:q - 1]
+
+
+def _product_dtype(p: int, m: int):
+    """float64 while m products of residues below p sum exactly in it."""
+    return np.float64 if m * (p - 1) ** 2 < 1 << 53 else np.int64
 
 
 def _orbit(v: np.ndarray, A: np.ndarray, count: int, p: int) -> np.ndarray:
@@ -100,24 +108,27 @@ def poly_windows(f: IntPolynomial, ks, size: int, W, p: int) -> np.ndarray:
     c x^e is c W[sum_i e_i k_i], and windows add digit-wise (the window map
     is F_p-linear); a term with a positive power of a zero coordinate drops.
 
-    Each term reduces its exponent sum mod q-1 once, and the windows are
-    reduced mod p once, at the end: an exponent sum is below n (q-1)^2 and
-    a digit below T p^2 for T terms, which int64 holds for n, T < 2^11
-    within the field cap (q <= 2^26)."""
-    qm1 = len(W)
+    Exponents are signed, in (-(q-1)/2, (q-1)/2].  A term with one live
+    e = +-1 has its sum in (-(q-1), q-1), which indexes W as it is (numpy
+    wraps a negative index once); any other sum reduces mod q-1, and the
+    windows mod p at the end, as a - a // b * b (numpy's `%` is slower): a
+    sum is below n (q-1)^2 / 2 in size and a digit below T p^2 for T terms,
+    which int64 holds for n, T < 2^11 within the field cap (q <= 2^26)."""
+    qm1, half = len(W), len(W) // 2
     out = np.zeros((size,) + W.shape[1:], dtype=np.int64)
     for exps, coeff in f.terms.items():
         if coeff % p == 0 or any(e and k is None for e, k in zip(exps, ks)):
             continue
-        dl = np.zeros(size, dtype=np.int64)
-        for e, k in zip(exps, ks):
-            if e:
-                dl += (e % qm1) * k
-        dl %= qm1
+        reps = [(half - (half - e) % qm1, k) for e, k in zip(exps, ks) if e % qm1]
+        if [abs(r) for r, _ in reps] == [1]:  # x or x^(q-2): no reduction
+            dl = reps[0][1] if reps[0][0] == 1 else -reps[0][1]
+        else:
+            dl = sum((r * k for r, k in reps), np.zeros(size, dtype=np.int64))
+            dl -= dl // qm1 * qm1
         term = W[dl]
         term *= coeff % p
         out += term
-    out %= p
+    out -= out // p * p
     return out
 
 
@@ -131,15 +142,18 @@ def face_blocks(nvars: int, torus: bool, qm1: int, block: int, orbits=None):
     for zero in itertools.product(patterns, repeat=nvars):
         live = [i for i in range(nvars) if not zero[i]]
         mins, sizes = orbits if orbits is not None and len(live) > 1 else (None, None)
-        total = qm1 ** len(live) if mins is None else len(mins) * qm1 ** (len(live) - 1)
+        digits = [qm1 if mins is None or i else len(mins) for i in range(len(live))]
+        total = math.prod(digits)  # digits: the flat index's radices, fastest first
         for lo in range(0, total, block):
             rest = np.arange(lo, min(lo + block, total), dtype=np.int64)
             ks, mult = [None] * nvars, None
+            for i, d in zip(live[:-1], digits):  # the last digit is what is left
+                high = rest // d
+                ks[i], rest = rest - high * d, high
+            if live:
+                ks[live[-1]] = rest
             if mins is not None:
-                rest, at = np.divmod(rest, len(mins))
-                ks[live[0]], mult = mins[at], sizes[at]
-            for i in live if mins is None else live[1:]:
-                rest, ks[i] = np.divmod(rest, qm1)
+                ks[live[0]], mult = mins[ks[live[0]]], sizes[ks[live[0]]]
             yield ks, min(block, total - lo), mult
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, ChainContainmentError, ParseError
-from .ffield import FieldCtx
+from .ffield import FieldCtx, orbit_minima
 from .polyring import AffineVariety, IntPolynomial, parse_poly, poly_to_string
 from .spectral import _BLOCK, face_blocks, poly_windows, trace_windows
 from .sumengine import SumGrid, variety_mask
@@ -297,7 +297,10 @@ def _projective_windows(polys, n: int, p: int, max_ext: int):
     """Trace windows of `polys` on the points of P^{n-1}(F_{p^e}),
     e = 1..max_ext, in blocks of at most _BLOCK points: yields one (size, e)
     window array per polynomial.  A point is (0, .., 0, 1, tail) with
-    1 = g^0; a zero test on a window is a zero test on the value."""
+    1 = g^0; a zero test on a window is a zero test on the value.  At e >= 2
+    the tail is swept modulo Frobenius (`face_blocks`): x -> x^p fixes the
+    leading 1 and every test of the callers, all with F_p coefficients, and
+    they only ask whether some point passes."""
     for e in range(1, max_ext + 1):
         q = p ** e
         total = sum(q ** k for k in range(n))
@@ -306,8 +309,9 @@ def _projective_windows(polys, n: int, p: int, max_ext: int):
                 f"projective sweep of ~{total} points over F_{p}^{e} "
                 f"exceeds cap {_PROJECTIVE_CAP}")
         W = trace_windows(FieldCtx(p, e))
+        orbits = orbit_minima(p, q - 1) if e > 1 else None
         for lead in range(n):
-            for tail, size, _ in face_blocks(n - lead - 1, False, q - 1, _BLOCK):
+            for tail, size, _ in face_blocks(n - lead - 1, False, q - 1, _BLOCK, orbits):
                 ks = [None] * lead + [np.zeros(size, dtype=np.int64), *tail]
                 yield [poly_windows(f, ks, size, W, p) for f in polys]
 
@@ -354,7 +358,8 @@ def dual_points_mask(F: IntPolynomial, p: int, max_ext: int = 2) -> np.ndarray:
     at marked points, so the sweep needs only F(x) = 0.  With L the window
     of the first nonzero gradient coordinate and j the first nonzero digit
     of L, the direction is F_p-rational iff every G_i = c_i L with
-    c_i = G_i[j] / L[j] mod p, the window map being F_p-linear.
+    c_i = G_i[j] / L[j] mod p, the window map being F_p-linear.  x and x^p
+    mark the same line, so one point per Frobenius orbit is swept.
     """
     if not F.is_homogeneous():
         raise ValueError("F must be homogeneous")

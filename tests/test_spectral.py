@@ -15,6 +15,7 @@ from stratsums.ffield import (
     FieldCtx,
     least_irreducible,
     next_irreducible,
+    orbit_minima,
     prime_factors,
     quadratic_gauss_sum,
 )
@@ -498,3 +499,138 @@ def test_profile_json_round_trip():
     assert data["schema"] == 1
     assert len(data["roots"]) == 2
     assert all(set(r) == {"re", "im", "sign", "mult"} for r in data["roots"])
+
+
+def test_product_dtype_is_exact_on_each_side_of_2_53():
+    # the trace product runs in float64 only while a sum of m products of
+    # residues below p is an exact integer there, m (p-1)^2 < 2^53
+    assert spectral._product_dtype(2, 2 ** 25) is np.float64
+    for m in (1, 2, 8):
+        below = math.isqrt(((1 << 53) - 1) // m)  # largest p - 1 below the bound
+        assert m * below ** 2 < 1 << 53 <= m * (below + 1) ** 2
+        assert spectral._product_dtype(below + 1, m) is np.float64
+        assert spectral._product_dtype(below + 2, m) is np.int64
+    # the bound is tight: float64 drops a unit just above it
+    big = float(1 << 53)
+    assert big + 1.0 == big
+    # at the field cap (q <= 2^26) every field takes the float product
+    assert spectral._product_dtype((1 << 26) + 1, 1) is np.float64
+
+
+def _int64_power_traces(ctx):
+    # generator_power_traces as an int64 product throughout
+    q, p, m = ctx.q, ctx.p, ctx.m
+    mats = ctx.mul_matrices([ctx.generator.rank] + [p ** i for i in range(m)])
+    M, tau = mats[0], np.trace(mats[1:], axis1=1, axis2=2) % p
+    t = ((q - 2).bit_length() + 1) // 2
+    ML = M
+    for _ in range(t):
+        ML = ML @ ML % p
+    cols = spectral._orbit(np.eye(1, m, dtype=np.int64)[0], M.T, 1 << t, p)
+    rows = spectral._orbit(tau, ML, -(-(q - 1) // (1 << t)), p)
+    return (rows @ cols.T % p).reshape(-1)[:q - 1]
+
+
+@pytest.mark.parametrize("p, m", [f for f in _matrix_model_fields()
+                                  if f[0] ** f[1] <= 1 << 20])
+def test_generator_power_traces_match_the_int64_product(p, m):
+    ctx = FieldCtx(p, m)
+    got = generator_power_traces(ctx)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _int64_power_traces(ctx))
+
+
+def _ref_poly_windows(f, ks, size, W, p):
+    # poly_windows by `%` on exponents in [0, q-1), as first written
+    qm1 = len(W)
+    out = np.zeros((size,) + W.shape[1:], dtype=np.int64)
+    for exps, coeff in f.terms.items():
+        if coeff % p == 0 or any(e and k is None for e, k in zip(exps, ks)):
+            continue
+        dl = np.zeros(size, dtype=np.int64)
+        for e, k in zip(exps, ks):
+            if e:
+                dl += (e % qm1) * k
+        dl %= qm1
+        term = W[dl]
+        term *= coeff % p
+        out += term
+    out %= p
+    return out
+
+
+def _ref_face_blocks(nvars, torus, qm1, block, orbits=None):
+    # face_blocks by np.divmod, as first written
+    patterns = (False,) if torus else (False, True)
+    for zero in itertools.product(patterns, repeat=nvars):
+        live = [i for i in range(nvars) if not zero[i]]
+        mins, sizes = orbits if orbits is not None and len(live) > 1 else (None, None)
+        total = qm1 ** len(live) if mins is None else len(mins) * qm1 ** (len(live) - 1)
+        for lo in range(0, total, block):
+            rest = np.arange(lo, min(lo + block, total), dtype=np.int64)
+            ks, mult = [None] * nvars, None
+            if mins is not None:
+                rest, at = np.divmod(rest, len(mins))
+                ks[live[0]], mult = mins[at], sizes[at]
+            for i in live if mins is None else live[1:]:
+                rest, ks[i] = np.divmod(rest, qm1)
+            yield ks, min(block, total - lo), mult
+
+
+def _wrapping_poly(rng, nvars, q, p):
+    # exponents at and above q-1, = -1 and = 0 (but positive) mod q-1, and
+    # the one-variable x and x^(q-2); coefficients >= p and negative
+    qm1 = q - 1
+    pool = (0, 0, 1, 2, q - 2, qm1, 2 * qm1, qm1 + 1, 2 * qm1 - 1,
+            3 * qm1 + 2, qm1 // 2, (qm1 + 1) // 2)
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = [0] * nvars
+        for i in rng.sample(range(nvars), rng.randint(1, nvars)):
+            exps[i] = rng.choice(pool)
+        terms[tuple(exps)] = rng.choice(
+            (rng.randint(1, 3 * p), rng.randint(p, 3 * p), -rng.randint(1, 2 * p)))
+    return IntPolynomial(nvars, terms)
+
+
+def test_poly_windows_and_face_blocks_match_the_modulo_formulas(monkeypatch):
+    # the division-free kernel against the `%` / np.divmod formulas, on
+    # faces of 1-3 live coordinates, with and without the Frobenius
+    # quotient, split over several blocks
+    monkeypatch.setattr(spectral, "_BLOCK", 7)
+    rng = random.Random(20261021)
+    checked = blocks = 0
+    for p, m in [(2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]:
+        ctx = FieldCtx(p, m)
+        q, W = ctx.q, spectral.trace_windows(ctx)
+        for nvars in (1, 2, 3):
+            if q ** nvars > 1024:
+                continue
+            polys = [_wrapping_poly(rng, nvars, q, p) for _ in range(3)]
+            for torus, orbits in itertools.product(
+                    (False, True), (None, orbit_minima(p, q - 1))):
+                args = (nvars, torus, q - 1, spectral._BLOCK, orbits)
+                got = list(spectral.face_blocks(*args))
+                want = list(_ref_face_blocks(*args))
+                assert len(got) == len(want)
+                blocks += len(got)
+                for (ks, size, mult), (rks, rsize, rmult) in zip(got, want):
+                    assert size == rsize and (mult is None) == (rmult is None)
+                    assert mult is None or np.array_equal(mult, rmult)
+                    for k, rk in zip(ks, rks):
+                        assert (k is None) == (rk is None)
+                        assert k is None or np.array_equal(k, rk)
+                    for f in polys:
+                        for win in (W, W[:, 0]):
+                            assert np.array_equal(
+                                spectral.poly_windows(f, ks, size, win, p),
+                                _ref_poly_windows(f, ks, size, win, p)), (f, p, m)
+                            checked += 1
+    assert checked > 1000 and blocks > 200
+
+
+def test_kloosterman_extension_sum_matches_eval_sum():
+    # x^(q-2) is the one-variable e = -1 term indexing the windows unreduced
+    _assert_kernel_matches_eval_sum(
+        [(SumSpec(nvars=1, trace_weight=("kloosterman_phase", a), torus=True), p, m)
+         for p in (2, 3, 5) for m in range(1, 5) for a in {1, p - 1}])

@@ -462,3 +462,34 @@ def test_codim_shadow_check():
     ok, counts = codim_shadow_check(chain, 5)
     assert ok
     assert counts[0] == 5 ** 2  # the dual plane
+
+
+def test_projective_sweep_modulo_frobenius_matches_the_full_sweep(monkeypatch):
+    # over F_{p^e}, e >= 2, the sweep takes one point per Frobenius orbit of
+    # a face's first tail coordinate; every caller's answer equals the one
+    # on the trivial transversal (every exponent, orbit size 1)
+    rng = random.Random(20261021)
+    cases = [(parse_poly("x1^3 + x2^3 + x3^3"), 13, 2)]
+    for n, d, p, max_ext in [(3, 3, 5, 3), (3, 4, 7, 2), (3, 3, 11, 2),
+                             (4, 3, 5, 2), (4, 4, 5, 2), (3, 4, 5, 3)]:
+        cases.append((_random_form(rng, n, d, p), p, max_ext))
+
+    def answers(F, p, max_ext, vs):
+        mask = dual_points_mask(F, p, max_ext=max_ext) if F.degree() % p else None
+        if mask is not None:  # and a few members
+            vs = vs + [tuple(map(int, h)) for h in np.argwhere(mask)[1:3]]
+        return (smoothness_check(F, p, max_ext=max_ext),
+                None if mask is None else mask.tolist(),
+                [(v, dual_variety_membership(F, v, p, max_ext=max_ext)) for v in vs])
+
+    seen = set()
+    for F, p, max_ext in cases:
+        vs = [tuple(rng.randrange(1, p) for _ in range(F.nvars))]
+        with monkeypatch.context() as mp:
+            mp.setattr(strat, "orbit_minima",
+                       lambda c, N: (np.arange(N), np.ones(N, dtype=np.int64)))
+            want = answers(F, p, max_ext, vs)
+        assert answers(F, p, max_ext, vs) == want, (poly_to_string(F), p, max_ext)
+        seen |= {want[0]} | {found for _, found in want[2]}
+    # smooth and singular forms, members and undecided directions
+    assert seen == {True, False, "member", "undetermined"}
