@@ -59,9 +59,12 @@ class CatalogEntry:
     flagged: str | None = None
 
     def masks(self, p: int):
-        if self.chain is not None:
-            return self.chain.masks(p)
-        return self.mask_builder(p)
+        """The strata's masks over F_p: the entry's `mask_builder` when it
+        has one (the chain then serves `--chain-out` and containment), else
+        its chain's."""
+        if self.mask_builder is not None:
+            return self.mask_builder(p)
+        return self.chain.masks(p)
 
     def grid(self, p: int) -> SumGrid:
         return self.grid_builder(p)
@@ -356,29 +359,20 @@ def quadric_blocks(n_blocks: int) -> CatalogEntry:
     if n < 1:
         raise ValueError("need at least one block")
     ambient = 4 * n
-    gens = []
-    for j in range(n):
-        terms = {}
-        for i in range(4):
-            exps = [0] * ambient
-            exps[4 * j + i] = 2
-            terms[tuple(exps)] = 1
-        gens.append(IntPolynomial(ambient, terms))
+    form = [tuple(2 * (i == k) for i in range(4)) for k in range(4)]  # x1^2 + .. + x4^2
+    gens = [IntPolynomial(ambient, {(0,) * (4 * j) + e + (0,) * (ambient - 4 * j - 4): 1
+                                    for e in form}) for j in range(n)]
     V = AffineVariety(ambient, gens, claimed_dim=3 * n)
     spec = SumSpec(nvars=ambient, variety=V)
 
     def masks(p):
-        vanish = np.zeros((p,) * ambient, dtype=np.int64)
-        for g in gens:
-            vanish += variety_mask(AffineVariety(ambient, [g]), p, ambient)
-        out = []
-        for k in range(1, n):
-            out.append(vanish >= k)
-        all_vanish = vanish >= n
-        for k in range(n, 3 * n - 1):
-            out.append(all_vanish)
-        out.append(variety_mask(_origin_variety(ambient), p, ambient))
-        return out
+        # the count of vanishing blocks, from the form's zero set on (p,)^4
+        zero = variety_mask(AffineVariety(4, [IntPolynomial(4, dict.fromkeys(form, 1))]), p, 4)
+        vanish = np.zeros((p,) * ambient, dtype=np.int8)
+        for j in range(n):
+            vanish += zero.reshape((1,) * (4 * j) + zero.shape + (1,) * (ambient - 4 * j - 4))
+        return [vanish >= k for k in range(1, n)] + [vanish == n] * (2 * n - 1) \
+            + [variety_mask(_origin_variety(ambient), p, ambient)]
 
     chain = None
     if n == 1:

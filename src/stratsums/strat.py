@@ -128,9 +128,12 @@ class VarietyChain:
 
 
 def stratum_index_from_masks(masks: list[np.ndarray], shape) -> np.ndarray:
+    """The largest i with masks[i - 1] true at each point, 0 where none is;
+    a mask shared with the next stratum is skipped, as the next write wins."""
     idx = np.zeros(shape, dtype=np.int64)
     for i, mask in enumerate(masks, start=1):
-        idx[mask] = i
+        if i == len(masks) or mask is not masks[i]:
+            idx[mask] = i
     return idx
 
 

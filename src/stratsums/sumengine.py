@@ -577,18 +577,20 @@ def _orbit_points(lam: np.ndarray, p: int) -> np.ndarray:
 def _orbit_rows(rep: np.ndarray, at: np.ndarray, lam: np.ndarray, t: int, p: int):
     """Yield (flat index of lam^(-b) h, rows counts(lam^(-b) h)[j] =
     rep[:, t^(-b) j mod p]) for the representatives h at `at`, b = 0, 1, ...
-    until lam^(-b) = 1, which reaches every point.  The rows are one
+    until lam^(-b) = 1, which reaches every point; rep holds the rows of
+    the last len(rep) of them.  The rows are rep itself at b = 0, then one
     buffer, overwritten by the next image."""
     lam_inv = np.array([pow(c, -1, p) for c in lam.tolist()], dtype=np.int64)
     step, scale, cols = _scaled_index(lam_inv, p), np.ones_like(lam), np.arange(p)
-    rows = np.empty_like(rep)
+    rows, buf = rep, np.empty_like(rep)
     while True:
-        # unlike the default mode, "clip" does not buffer the output
-        yield at, np.take(rep, cols, axis=1, out=rows, mode="clip")
+        yield at, rows
         scale = scale * lam_inv % p
         if (scale == 1).all():
             return
         at, cols = step[at], cols * pow(t, -1, p) % p
+        # unlike the default mode, "clip" does not buffer the output
+        rows = np.take(rep, cols, axis=1, out=buf, mode="clip")
 
 
 class SumGrid:
@@ -826,7 +828,11 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     masses multiply to the whole field's, so the rounding bound holds.
     The rows are rounded, made canonical and rendered at every image
     (`_orbit_rows`), bit-equal to a render of the count array, which is
-    built from them when `SumGrid.counts` is first read."""
+    built from them when `SumGrid.counts` is first read.  A row with equal
+    columns 1..p-1 (a rational S(h), every row on a cone) is fixed by
+    every column permutation: it is rendered once, with all rows at the
+    first image, and copied to its other images without a gather, unless
+    that would leave a single row to render alone (`_row_blocks`)."""
     n = spec.nvars
     if spec.linear_form is not None and any(spec.linear_form):
         raise ValueError("complete_grid sweeps all h; fix the spec's linear form to None")
@@ -869,14 +875,22 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
     rep_counts = np.empty((len(reps), p), dtype=np.int64)
     _round_counts(spectrum, totals, p, rep_counts)
     rep_counts -= rep_counts.min(axis=1, keepdims=True)
-    values = np.empty(p ** n, dtype=np.complex128)
-    for at, rows in _orbit_rows(rep_counts, reps, lam, t, p):
-        values[at] = _render(rows, p)
+    # a row with equal columns 1..p-1 (a rational S(h)) is fixed by every
+    # column permutation; these k rows go first, none if one row would move
+    fixed = (rep_counts[:, 1:] == rep_counts[:, 1:2]).all(axis=1)
+    k = int(fixed.sum()) if fixed.sum() != len(fixed) - 1 else 0
+    order = np.argsort(~fixed, kind="stable")
+    reps, rep_counts = reps[order], rep_counts[order]
+    values, rendered = np.empty(p ** n, dtype=np.complex128), _render(rep_counts, p)
+    for b, (at, rows) in enumerate(_orbit_rows(rep_counts[k:], reps, lam, t, p)):
+        if b:  # the fixed rows keep their first render
+            rendered[k:] = _render(rows, p)
+        values[at] = rendered
 
     def counts():
         out = np.empty((p ** n, p), dtype=np.int64)
-        for at, rows in _orbit_rows(rep_counts, reps, lam, t, p):
-            out[at] = rows
+        for at, rows in _orbit_rows(rep_counts[k:], reps, lam, t, p):
+            out[at[:k]], out[at[k:]] = rep_counts[:k], rows
         return out.reshape((p,) * n + (p,))
     return SumGrid(p=p, n=n, values=values.reshape((p,) * n), counts=counts)
 

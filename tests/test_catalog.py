@@ -264,12 +264,20 @@ def test_quadric_blocks_two_p5_verify():
 
 
 def test_quadric_blocks_chain_matches_masks():
+    # verify reads the block-built masks; the chain, written by --chain-out,
+    # must stratify alike, at p = 5 too (the 16-term product on 5^8 cells).
+    # Shared masks are skipped by the index, which must equal the index of
+    # unshared copies
     entry = quadric_blocks(2)
-    p = 3
     from stratsums.strat import stratum_index_from_masks
-    via_masks = stratum_index_from_masks(entry.mask_builder(p), (p,) * 8)
-    via_chain = entry.chain.stratum_index_grid(p)
-    assert np.array_equal(via_masks, via_chain)
+    for p in (3, 5):
+        via_masks = stratum_index_from_masks(entry.mask_builder(p), (p,) * 8)
+        via_chain = entry.chain.stratum_index_grid(p)
+        assert np.array_equal(via_masks, via_chain)
+        masks = entry.masks(p)
+        assert masks[1] is masks[2] is masks[3]  # strata 2-4: both blocks vanish
+        copies = [m.copy() for m in entry.chain.masks(p)]
+        assert np.array_equal(stratum_index_from_masks(copies, (p,) * 8), via_chain)
 
 
 # -- quadratic family -------------------------------------------------------------------

@@ -952,6 +952,45 @@ def test_orbit_rows_are_predicted_column_permutations():
             assert np.array_equal(moved, rows[:, t * np.arange(p) % p]), (spec, p, lam, t)
 
 
+def test_fixed_rows_are_rendered_once_and_stay_bit_equal():
+    # a representative row with equal columns 1..p-1 (a rational S(h)) is
+    # fixed by every column permutation, so it is rendered once, with all
+    # representatives at the first image, and scattered to its images.
+    # Values must still equal a whole-array tensordot bit for bit, and
+    # counts the count field's: on a cone (every row fixed), a circle (some
+    # rows; at p = 131 only h = 0), a split cone, fiber grids, one variable
+    # (one row fixed, so one row moves: never rendered alone, which rounds
+    # differently) and seeded symmetric specs
+    def on(f, n, phase=None):
+        return SumSpec(nvars=n, variety=AffineVariety(n, [parse_poly(g, n) for g in f]),
+                       additive_phase=phase and parse_poly(phase, n))
+
+    circle = on(["x1^2 + x2^2 - 1"], 2)
+    cases = [
+        (on(["x1^2 + x2^2 - x3^2"], 3), 13, 0, 13 ** 3),
+        (circle, 13, 0, 25),
+        (circle, 131, 0, 1),
+        (on(["x1^2 + x2^2 - x3^2", "x4*x5"], 5), 7, 0, 7 ** 5),  # split
+        (on(["x1*x2^2 - x3^2"], 3), 11, 1, 11 ** 3),
+        (on([], 3, "x1*x2^2 + x3^2"), 11, 1, None),
+        # sum over y of psi(h y^2): two representatives, h = 0 and h = 1
+        (SumSpec(nvars=1, trace_weight=("root_count", parse_poly("x1^2 - x2", 2))), 13, 0, 1),
+    ]
+    rng = random.Random(20261028)
+    cases += [(spec, p, 0, None) for p in (5, 7, 11)
+              for spec in rng.sample(_symmetric_specs(rng), 5)]
+    for spec, p, params, n_fixed in cases:
+        grid = complete_grid(spec, p, params=params)
+        assert callable(grid._counts), (spec, p)  # the orbit expansion
+        counts, _ = _reference_grid(spec, p, params=params)
+        assert np.array_equal(grid.counts, counts), (spec, p)
+        rows = counts.reshape(-1, p)
+        fixed = int((rows[:, 1:] == rows[:, 1:2]).all(axis=1).sum())
+        assert n_fixed in (None, fixed), (spec, p, fixed)
+        whole = np.tensordot(counts, zeta_table(p), axes=([-1], [0]))
+        assert np.array_equal(grid.values, whole), (spec, p)
+
+
 def test_orbit_grid_builds_counts_on_first_read(monkeypatch, tmp_path):
     # building and rendering an orbit grid, and `grid` without --bin, leave
     # the count array unbuilt; read afterwards through counts, cyclo_at or
