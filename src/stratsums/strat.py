@@ -227,31 +227,35 @@ def verify_kl_masks(values: np.ndarray, masks: list[np.ndarray], p: int,
     """Bound check of |values[h]| <= C p^{(d+i)/2} for mask-defined strata,
     through `slack_bound`.  A prime dividing the excluded modulus N > 1 is
     flagged (soft), never fatal."""
-    ambient = values.ndim
-    abs_vals = np.abs(values)
-    idx = stratum_index_from_masks(masks, values.shape)
-    counts = np.bincount(idx.reshape(-1), minlength=len(masks) + 1)
-
-    def handle(i):
-        sel = idx == i
-        count = int(counts[i])
-        vals = np.where(sel, abs_vals, -1.0)
-        flat_arg = int(np.argmax(vals))
+    ambient, levels = values.ndim, len(masks) + 1
+    flat, flat_masks = values.reshape(-1), [m.reshape(-1) for m in masks]
+    bounds = [slack_bound(C, p ** ((d + i) / 2)) for i in range(levels)]
+    counts, best, bad = [0] * levels, [(-1.0, 0)] * levels, [[] for _ in range(levels)]
+    # one pass in blocks small enough to stay in cache: |S|, the stratum
+    # index, and each level's count, first maximum and points over its bound
+    step = _BLOCK // 4
+    for lo in range(0, flat.size, step):
+        abs_vals = np.abs(flat[lo:lo + step])
+        idx = stratum_index_from_masks([m[lo:lo + step] for m in flat_masks], abs_vals.shape)
+        for i in range(levels):
+            sel = idx == i
+            if not sel.any():
+                continue
+            counts[i] += int(np.count_nonzero(sel))
+            vals = np.where(sel, abs_vals, -1.0)
+            k = int(np.argmax(vals))
+            if vals[k] > best[i][0]:  # a tie keeps the earlier block's point
+                best[i] = (float(vals[k]), lo + k)
+            if vals[k] > bounds[i]:
+                hits = np.flatnonzero(sel & (abs_vals > bounds[i]))
+                bad[i] += zip((lo + hits).tolist(), abs_vals[hits].tolist())
+    records, violations = [], []
+    for i in [i for i in range(levels) if counts[i]]:
+        (max_abs, flat_arg), scale = best[i], p ** ((d + i) / 2)
         witness = tuple(int(v) for v in np.unravel_index(flat_arg, values.shape))
-        max_abs = float(abs_vals[witness])
-        scale = p ** ((d + i) / 2)
-        bound = slack_bound(C, scale)
-        viol = []
-        if max_abs > bound:
-            bad = sel & (abs_vals > bound)
-            for flat in np.flatnonzero(bad.reshape(-1)):
-                h = tuple(int(v) for v in np.unravel_index(flat, values.shape))
-                viol.append((h, float(abs_vals[h]), float(bound)))
-        return StratumRecord(i, count, max_abs, max_abs / scale, witness), viol
-
-    results = [handle(int(i)) for i in np.flatnonzero(counts)]
-    records = [r for r, _ in results]
-    violations = [v for _, vs in results for v in vs]
+        records.append(StratumRecord(i, counts[i], max_abs, max_abs / scale, witness))
+        violations += [(tuple(int(v) for v in np.unravel_index(h, values.shape)), v,
+                        float(bounds[i])) for h, v in bad[i]]
     total = sum(r.count for r in records)
     if total != p ** ambient:
         raise AssertionError("stratum records do not partition the grid")

@@ -11,11 +11,12 @@ serve as the other's oracle:
   (the `sum` command) and `trace_function_grid` build summands from one
   set of per-spec tables (`summand_tables`);
 * `complete_grid` transforms the pointwise data over F_p^n, built by
-  broadcasting (`trace_function_grid`), with numpy's FFT over the n point
-  axes: complex grids directly (`dft_grid`), exact grids through their
-  values at the roots of unity zeta^s, rounded back to counts.  An exact
-  grid is the product of its variable blocks' transforms; a grid that
-  does not split, and every grid with `params=k` (k family-parameter axes
+  broadcasting (`trace_function_grid`), in place over the n point axes
+  (`_point_transform`: a BLAS table product per axis below p = 107, else
+  numpy's FFT): complex grids directly (`dft_grid`), exact grids through
+  their values at the roots of unity zeta^s, rounded back to counts.  An
+  exact grid is the product of its variable blocks' transforms; a grid
+  that does not split, and every grid with `params=k` (k parameter axes
   left untransformed), is one block.  One block without a scaling
   symmetry goes through a zeta-count field and `cyclo_dft`, the
   reference; every other exact grid takes one orbit path
@@ -339,19 +340,39 @@ def eval_sum(spec: SumSpec, ctx: FieldCtx, h=None,
 
 
 def dft_grid(values: np.ndarray, p: int, sign: int = 1) -> np.ndarray:
-    """out[h] = sum_x values[x] e(sign * h.x / p) over the (p,)*n grid, by
-    numpy's FFT: one complex copy of values, transformed in place one axis
-    at a time, last axis first (the order of `ifftn`/`fftn`)."""
+    """out[h] = sum_x values[x] e(sign * h.x / p) over the (p,)*n grid: one
+    complex copy of values, transformed in place (`_point_transform`)."""
     out = np.array(values, dtype=np.complex128)
-    for axis in reversed(range(out.ndim)):
-        if sign == 1:
-            np.fft.ifft(out, axis=axis, norm="forward", out=out)
-        else:
-            np.fft.fft(out, axis=axis, out=out)
+    _point_transform(out, p, sign)
     return out
 
 
-_BLOCK = 1 << 16  # zeta cells (rows x p) per row block of an exact grid
+_BLOCK = 1 << 16  # cells per block: zeta cells (rows x p), or field cells
+_GEMM_BELOW = 107  # the table product below this prime, numpy's FFT from it on
+
+
+def _point_transform(field: np.ndarray, p: int, sign: int, params: int = 0):
+    """Transform a C-contiguous complex field over (p,)*n in place over its
+    last n - params axes, last axis first, to sum_x field[x] e(sign h.x/p):
+    numpy's FFT (as `ifftn`/`fftn`) from p = _GEMM_BELOW on; below it, where
+    that is slower, a BLAS product with the table zeta^(sign j k) on blocks
+    of about _BLOCK cells of the field viewed as (A, p, B), each written
+    back before the next.  Either errs by about eps p sum|field| per axis."""
+    if p >= _GEMM_BELOW:
+        fft, norm = (np.fft.ifft, "forward") if sign == 1 else (np.fft.fft, "backward")
+        for axis in reversed(range(params, field.ndim)):
+            fft(field, axis=axis, norm=norm, out=field)
+        return
+    table = zeta_table(p)[np.outer(np.arange(p), np.arange(p)) * sign % p]
+    for axis in reversed(range(params, field.ndim)):
+        view = field.reshape(p ** axis, p, -1)  # (A, p, B)
+        width, step, cols = view.shape[2], max(1, _BLOCK // view[0].size), max(1, _BLOCK // p)
+        for lo, c in itertools.product(range(0, len(view), step), range(0, width, cols)):
+            block = view[lo:lo + step, :, c:c + cols]
+            if width == 1:  # the last axis: rows @ table
+                block[..., 0] = block[..., 0] @ table
+            else:
+                block[...] = table @ block
 
 
 def _row_blocks(rows: int, p: int):
@@ -402,21 +423,21 @@ def cyclo_dft(counts: np.ndarray, p: int, sign: int = 1, params: int = 0) -> np.
     * each row's values at zeta^s, 1 <= s <= p//2, are the row times the
       (p x p//2) table zeta^(t s), one product per row block of about
       _BLOCK zeta cells; zeta^0, each fiber's total count, is not stored;
-    * each slot is transformed in place over the last n - k point axes and
-      read at (s sign h) mod p;
+    * each slot is transformed in place over the last n - k point axes
+      (`_point_transform`) and read at (s sign h) mod p;
     * the coefficients come back as the conjugate table zeta^(-j s) with
       weight 2/p (1/p at s = p/2, so for p = 2), plus each row's own fiber
       total/p, rounded block by block into the int64 output
       (`_round_counts`).
 
     Rounding is exact: every output coefficient is a sum of input counts,
-    and the float error of the table products and the FFTs is of order
-    eps (p + log p^n) times the count mass sum|counts| of its fiber (no
+    and the float error of the zeta tables and the point transform is
+    about eps (p + n p) times the count mass sum|counts| of its fiber (no
     fiber's arithmetic touches another's).  In `complete_grid` that mass
     is at most p^(n+1) <= cap (one weight per point, a root count of at
-    most p), so the error stays far below 1/2 and np.rint recovers the
+    most p): below 2.5e-4 at the 2^26 cap, and np.rint recovers the
     integers.  Every spectrum `_orbit_spectrum` builds has this bound:
-    each value is a gathered or conjugated value of one FFT of a field
+    each value is a gathered or conjugated value of one transform of a field
     weight zeta^(r idx) of the same count mass.  A rounding residual above
     1e-3 raises AssertionError rather than returning wrong counts.
 
@@ -487,10 +508,10 @@ def _orbit_spectrum(fill, scaling, p: int, n: int, sign: int, params: int = 0,
     the points (`_scaling`) gives F_u(k) = F_r(g^m k) for u = r t^(-m),
     and F_(p-u)(k) = conj(F_u(-k)).  fill(fields, reps) writes the field
     at zeta^r into fields[k] for each orbit's representative r <= p//2,
-    the k-th; each is transformed in place, and the orbit's slots s = u or
-    p - u (conjugated) read it at g^m u sign h = lam^m r sign h mod p,
-    lam = g t^(-1).  On the trivial orbit (1, 1) every slot is its own
-    representative."""
+    the k-th; each is transformed in place at sign +1 (`_point_transform`),
+    and the orbit's slots s = u or p - u (conjugated) read it at g^m u sign
+    h = lam^m r sign h mod p, lam = g t^(-1).  On the trivial orbit (1, 1)
+    every slot is its own representative."""
     (g, t), half = scaling, p // 2
     seen, orbits = set(), {}  # representative r -> its (slot, conj), m = 0, 1, ...
     for r in range(1, half + 1):
@@ -507,8 +528,7 @@ def _orbit_spectrum(fill, scaling, p: int, n: int, sign: int, params: int = 0,
     fields = np.empty((len(reps),) + (p,) * n, dtype=np.complex128)
     fill(fields, reps)
     for field in fields:
-        for axis in range(params, n):
-            np.fft.ifft(field, axis=axis, norm="forward", out=field)
+        _point_transform(field, p, 1, params)
     flat = fields.reshape(len(reps), -1)
     out = flat if at is None else np.empty((half, len(at)), dtype=np.complex128)
     transformed = np.arange(n) >= params
@@ -874,13 +894,19 @@ def complete_grid(spec: SumSpec, p: int, sign: int = 1,
         reps = np.arange(p ** n).reshape((p,) * n).transpose(order).ravel()[reps]
     rep_counts = np.empty((len(reps), p), dtype=np.int64)
     _round_counts(spectrum, totals, p, rep_counts)
-    rep_counts -= rep_counts.min(axis=1, keepdims=True)
-    # a row with equal columns 1..p-1 (a rational S(h)) is fixed by every
-    # column permutation; these k rows go first, none if one row would move
-    fixed = (rep_counts[:, 1:] == rep_counts[:, 1:2]).all(axis=1)
-    k = int(fixed.sum()) if fixed.sum() != len(fixed) - 1 else 0
-    order = np.argsort(~fixed, kind="stable")
-    reps, rep_counts = reps[order], rep_counts[order]
+    # canonical rows, and which have equal columns 1..p-1 (a rational S(h),
+    # fixed by every column permutation), by reductions over the first axis
+    # of each block's transpose: over a short last axis they pay per row
+    fixed = np.empty(len(reps), dtype=bool)
+    for lo, hi in _row_blocks(len(reps), p):
+        cols = rep_counts[lo:hi].T.copy()
+        cols -= cols.min(axis=0)
+        rep_counts[lo:hi] = cols.T
+        fixed[lo:hi] = (cols[1:] == cols[1]).all(axis=0)
+    if not fixed[:fixed.sum()].all():  # the fixed rows go first; on a cone they are
+        order = np.argsort(~fixed, kind="stable")
+        reps, rep_counts = reps[order], rep_counts[order]
+    k = int(fixed.sum()) if fixed.sum() != len(fixed) - 1 else 0  # none if one row would move
     values, rendered = np.empty(p ** n, dtype=np.complex128), _render(rep_counts, p)
     for b, (at, rows) in enumerate(_orbit_rows(rep_counts[k:], reps, lam, t, p)):
         if b:  # the fixed rows keep their first render

@@ -194,23 +194,32 @@ def _unique_reference(values, masks, p, C, d, slack=1e-6):
 
 
 def test_verify_kl_masks_matches_unique_reference():
+    # grids of one block and of several (13^4, 5^7 cells), so that a tied
+    # maximum recurs in later blocks and the witness must stay the first;
+    # a level empty at p, a mask shared by two levels, forced violations
     rng = np.random.default_rng(28)
-    for p, n in [(3, 2), (5, 2), (7, 2), (5, 3)]:
+    violated = 0
+    for p, n in [(3, 2), (5, 2), (7, 2), (5, 3), (13, 4), (5, 7)]:
         shape = (p,) * n
         # few magnitudes, so the maximum of a stratum is tied and the
         # witness must be the first flat argmax
         values = rng.integers(0, 4, shape) * np.exp(2j * np.pi * rng.random(shape))
         first = rng.random(shape) < 0.6
-        masks = [first, first & (rng.random(shape) < 0.5),
-                 np.zeros(shape, dtype=bool),  # empty at p
-                 first & (rng.random(shape) < 0.2)]
-        for C, d in [(0.5, 0), (2.0, 1), (100.0, 2)]:
-            report = verify_kl_masks(values, masks, p, C, d)
-            records, violations = _unique_reference(values, masks, p, C, d)
-            assert report.records == records
-            assert report.violations == violations
-            assert report.passed == (not violations)
-            assert 3 not in [r.index for r in report.records]
+        shared = first & (rng.random(shape) < 0.3)
+        for masks, absent in (([first, first & (rng.random(shape) < 0.5),
+                                np.zeros(shape, dtype=bool),  # empty at p
+                                first & (rng.random(shape) < 0.2)], 3),
+                              # levels 2 and 3 share a mask, so level 2 is empty
+                              ([first, shared, shared, shared & (rng.random(shape) < 0.5)], 2)):
+            for C, d in [(0.5, 0), (2.0, 1), (100.0, 2)]:
+                report = verify_kl_masks(values, masks, p, C, d)
+                records, violations = _unique_reference(values, masks, p, C, d)
+                assert report.records == records
+                assert report.violations == violations
+                assert report.passed == (not violations)
+                violated += bool(violations)
+            assert absent not in [r.index for r in report.records]
+    assert violated >= 12
 
 
 @pytest.mark.parametrize("over, passed", [(0.5e-6, True), (2e-6, False)])

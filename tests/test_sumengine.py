@@ -381,18 +381,66 @@ def test_dft_grid_matches_brute_force_oracle():
     assert np.max(np.abs(got - want)) < 1e-9
 
 
+def _gemm_dft(values, p, sign):
+    """The table-product transform: each axis, last first, contracted with
+    zeta^(sign j k), rows @ table on the last axis and table @ slabs on the
+    others, each axis in one product."""
+    table = zeta_table(p)[np.outer(np.arange(p), np.arange(p)) * sign % p]
+    out = np.array(values, dtype=np.complex128)
+    for axis in reversed(range(out.ndim)):
+        view = out.reshape(p ** axis, p, -1)
+        out = (view.reshape(-1, p) @ table if view.shape[2] == 1
+               else np.matmul(table, view)).reshape(out.shape)
+    return out
+
+
 def test_dft_grid_bit_equals_nd_transform_and_keeps_its_input():
+    # at and above the crossover dft_grid is numpy's FFT, bit for bit; below
+    # it, the per-axis table product, within eps p n sum|values| of the FFT
     rng = np.random.default_rng(27)
-    for p, n in [(5, 1), (7, 2), (5, 3), (3, 4)]:
+    for p, n in [(5, 1), (7, 2), (5, 3), (3, 4), (127, 2), (131, 2)]:
         for vals in (rng.normal(size=(p,) * n),
                      rng.normal(size=(p,) * n) + 1j * rng.normal(size=(p,) * n)):
             before = vals.copy()
-            for sign, want in ((1, np.fft.ifftn(vals, norm="forward")),
-                               (-1, np.fft.fftn(vals))):
+            for sign, fft in ((1, np.fft.ifftn(vals, norm="forward")),
+                              (-1, np.fft.fftn(vals))):
                 got = dft_grid(vals, p, sign)
                 assert got.dtype == np.complex128
+                want = fft if p >= sumengine._GEMM_BELOW else _gemm_dft(vals, p, sign)
                 assert np.array_equal(got.view(np.float64), want.view(np.float64))
+                bound = np.finfo(float).eps * p * n * np.abs(vals).sum()
+                assert np.abs(got - fft).max() <= bound, (p, n, sign)
             assert np.array_equal(vals, before)
+
+
+def test_point_transform_matches_numpy_fft(monkeypatch):
+    # seeded fields on both sides of the crossover, every params and sign,
+    # in one block and in blocks that cut the slabs and their columns: the
+    # last n - params axes transformed in place, within eps p (n - params)
+    # sum|field| of ifftn / fftn over those axes (bit-equal on the FFT side)
+    rng = np.random.default_rng(29)
+    assert 103 < sumengine._GEMM_BELOW <= 107  # both sides are tested
+    cases = [(p, n) for p in (2, 3, 5, 13) for n in (1, 2, 3, 4)]
+    cases += [(31, 3), (103, 1), (103, 2), (107, 1), (107, 2), (127, 2)]
+    for p, n in cases:
+        field = rng.normal(size=(p,) * n) + 1j * rng.normal(size=(p,) * n)
+        for params, sign, block in itertools.product(range(n + 1), (1, -1),
+                                                     (sumengine._BLOCK, 4 * p)):
+            axes = tuple(range(params, n))
+            if not axes:
+                want = field
+            elif sign == 1:
+                want = np.fft.ifftn(field, axes=axes, norm="forward")
+            else:
+                want = np.fft.fftn(field, axes=axes)
+            got = field.copy()
+            with monkeypatch.context() as m:
+                m.setattr(sumengine, "_BLOCK", block)
+                assert sumengine._point_transform(got, p, sign, params) is None
+            bound = np.finfo(float).eps * p * len(axes) * np.abs(field).sum()
+            assert np.abs(got - want).max() <= bound, (p, n, params, sign, block)
+            if p >= sumengine._GEMM_BELOW:
+                assert np.array_equal(got, want)
 
 
 def test_cyclo_dft_matches_complex_dft():
@@ -521,20 +569,32 @@ def test_complete_grid_params_input_checks(monkeypatch):
         assert np.array_equal(grid.counts[a], np.roll(whole.counts, a[0] * a[1], axis=-1))
 
 
-def test_cyclo_dft_refuses_rounding_residual(monkeypatch):
-    ifft = np.fft.ifft
-
-    def ifft_off_by_03(*args, **kwargs):  # the point-axis FFTs run in place
-        out = ifft(*args, **kwargs)
-        out += 0.3
+def _off_by_03(transform):
+    """A point transform (`_point_transform`, or np.fft.ifft with out=) that
+    adds 0.3 to every cell it writes."""
+    def off(field, *args, **kwargs):
+        out = transform(field, *args, **kwargs)
+        target = field if out is None else out
+        target += 0.3
         return out
+    return off
 
-    monkeypatch.setattr(np.fft, "ifft", ifft_off_by_03)
-    for column in (0, 1):  # phase-free, then phased: both by table products
-        counts = np.zeros((5, 5, 5), dtype=np.int64)
-        counts[..., column] = 1
-        with pytest.raises(AssertionError, match="residual"):
-            cyclo_dft(counts, 5)
+
+def test_cyclo_dft_refuses_rounding_residual(monkeypatch):
+    # the point transforms run in place; below the crossover through the
+    # table product, at p = 127 through numpy's FFT
+    with monkeypatch.context() as m:
+        m.setattr(sumengine, "_point_transform", _off_by_03(sumengine._point_transform))
+        for column in (0, 1):  # phase-free, then phased: both by table products
+            counts = np.zeros((5, 5, 5), dtype=np.int64)
+            counts[..., column] = 1
+            with pytest.raises(AssertionError, match="residual"):
+                cyclo_dft(counts, 5)
+    monkeypatch.setattr(np.fft, "ifft", _off_by_03(np.fft.ifft))
+    counts = np.zeros((127, 127), dtype=np.int64)
+    counts[:, 1] = 1
+    with pytest.raises(AssertionError, match="residual"):
+        cyclo_dft(counts, 127)
 
 
 def _reference_grid(spec, p, sign=1, params=0):
@@ -645,12 +705,43 @@ def test_complete_grid_matches_count_field_transform(monkeypatch):
                 assert np.array_equal(grid.values, values), (spec, p, sign)
 
 
+def test_exact_grids_stay_exact_below_the_crossover():
+    # the table product at the two largest gemm-side primes tested: counts
+    # of the orbit path (a cubic, a circle) and of the count field (no
+    # symmetry) bit-equal to the count-field reference and to eval_sum, and
+    # cyclo_dft of dense rows to the integer reference
+    rng = np.random.default_rng(31)
+    specs = [SumSpec(nvars=2, additive_phase=parse_poly("x1^3 + x1*x2^2", 2)),
+             SumSpec(nvars=2, variety=AffineVariety(2, [parse_poly("x1^2 + x2^2 - 1", 2)])),
+             SumSpec(nvars=2, additive_phase=parse_poly("x1^2*x2 + x2 + 1", 2))]
+    for p in (61, 103):
+        assert p < sumengine._GEMM_BELOW
+        ctx = FieldCtx(p)
+        for spec in specs:
+            counts, values = _reference_grid(spec, p)
+            grid = complete_grid(spec, p)
+            assert np.array_equal(grid.counts, counts), (spec, p)
+            assert np.array_equal(grid.values, values), (spec, p)
+            for h in rng.integers(0, p, size=(5, 2)).tolist():
+                want = np.asarray(eval_sum(spec, ctx, h=h).cyclo.counts)
+                assert np.array_equal(grid.counts[tuple(h)], want - want.min()), (spec, p, h)
+        dense = rng.integers(-50, 51, size=(p, p))
+        for sign in (1, -1):
+            assert np.array_equal(cyclo_dft(dense.copy(), p, sign),
+                                  integer_cyclo_dft(dense, p, sign))
+
+
 def test_complete_grid_transforms_one_field_per_orbit(monkeypatch):
     # a cubic at p = 13 has 3 orbits of zeta powers s, -s under s -> g^3 s;
     # a phase-free field is one orbit, also over the last n - k axes; the
     # mixed-degree x1^2 + x2 goes through cyclo_dft, the trivial orbit: one
-    # field per zeta power s <= p//2
-    ifft, calls, dft_calls = np.fft.ifft, [], []
+    # field per zeta power s <= p//2.  Each field takes one point transform;
+    # at p = 127 (FFT side) the cubic's 3 fields take one FFT per axis
+    transform, ifft, calls, dft_calls = sumengine._point_transform, np.fft.ifft, [], []
+
+    def transform_shapes(field, p, sign, params=0):
+        calls.append((field.shape, params))
+        return transform(field, p, sign, params)
 
     def ifft_shapes(a, *args, **kwargs):
         calls.append((a.shape, kwargs["axis"]))
@@ -660,32 +751,38 @@ def test_complete_grid_transforms_one_field_per_orbit(monkeypatch):
         dft_calls.append(counts.shape)
         return cyclo_dft(counts, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "ifft", ifft_shapes)
+    monkeypatch.setattr(sumengine, "_point_transform", transform_shapes)
     monkeypatch.setattr(sumengine, "cyclo_dft", counting_cyclo_dft)
     cubic = SumSpec(nvars=2, additive_phase=parse_poly("x1^3 + x1*x2^2", 2))
     quadric = SumSpec(nvars=3, variety=AffineVariety(3, [parse_poly("x1*x2 - x3^2 + 1", 3)]))
     mixed = SumSpec(nvars=2, additive_phase=parse_poly("x1^2 + x2", 2))
     for spec, p, k, want, via_dft in [
-            (cubic, 13, 0, [((13, 13), 0), ((13, 13), 1)] * 3, False),
-            (quadric, 5, 0, [((5, 5, 5), 0), ((5, 5, 5), 1), ((5, 5, 5), 2)], False),
-            (quadric, 5, 1, [((5, 5, 5), 1), ((5, 5, 5), 2)], False),
-            (mixed, 5, 0, [((5, 5), 0), ((5, 5), 1)] * 2, True)]:
+            (cubic, 13, 0, [((13, 13), 0)] * 3, False),
+            (quadric, 5, 0, [((5, 5, 5), 0)], False),
+            (quadric, 5, 1, [((5, 5, 5), 1)], False),
+            (mixed, 5, 0, [((5, 5), 0)] * 2, True)]:
         calls.clear()
         dft_calls.clear()
         complete_grid(spec, p, params=k)
         assert calls == want, (spec, k, calls)
         assert dft_calls == ([(p,) * (spec.nvars + 1)] if via_dft else [])
-    # the rounding-residual guard fires on the orbit path too
-    def ifft_off_by_03(*args, **kwargs):
-        out = ifft(*args, **kwargs)
-        out += 0.3
-        return out
-
-    monkeypatch.setattr(np.fft, "ifft", ifft_off_by_03)
+    with monkeypatch.context() as m:
+        m.setattr(sumengine, "_point_transform", transform)
+        m.setattr(np.fft, "ifft", ifft_shapes)
+        calls.clear()
+        complete_grid(cubic, 127)
+        assert calls == [((127, 127), 1), ((127, 127), 0)] * 3
+    # the rounding-residual guard fires on the orbit path too, on both
+    # sides of the crossover
+    monkeypatch.setattr(sumengine, "_point_transform", _off_by_03(transform))
     dft_calls.clear()
     for spec, p in ((cubic, 13), (quadric, 5)):
         with pytest.raises(AssertionError, match="residual"):
             complete_grid(spec, p)
+    monkeypatch.setattr(sumengine, "_point_transform", transform)
+    monkeypatch.setattr(np.fft, "ifft", _off_by_03(ifft))
+    with pytest.raises(AssertionError, match="residual"):
+        complete_grid(cubic, 127)
     assert dft_calls == []
 
 
@@ -886,18 +983,16 @@ def test_split_grid_peak_memory():
 
 
 def test_split_grid_refuses_rounding_residual(monkeypatch):
-    ifft = np.fft.ifft
-
-    def ifft_off_by_03(*args, **kwargs):
-        out = ifft(*args, **kwargs)
-        out += 0.3
-        return out
-
-    monkeypatch.setattr(np.fft, "ifft", ifft_off_by_03)
+    # through the table product at p = 5, numpy's FFT at p = 127
     monkeypatch.setattr(sumengine, "_BLOCK", SPLIT)
     spec = SumSpec(nvars=2, additive_phase=parse_poly("x1^2 + x2", 2))
+    with monkeypatch.context() as m:
+        m.setattr(sumengine, "_point_transform", _off_by_03(sumengine._point_transform))
+        with pytest.raises(AssertionError, match="residual"):
+            complete_grid(spec, 5)
+    monkeypatch.setattr(np.fft, "ifft", _off_by_03(np.fft.ifft))
     with pytest.raises(AssertionError, match="residual"):
-        complete_grid(spec, 5)
+        complete_grid(spec, 127)
 
 
 # -- orbit grids ------------------------------------------------------------------------
