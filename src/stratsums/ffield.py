@@ -38,12 +38,12 @@ def prime_factors(n: int) -> list[int]:
 def orbit_minima(c: int, N: int):
     """(mins, sizes): the least element of each orbit of x -> c x on Z/N, c a
     unit mod N, in increasing order, and each orbit's size.  One pass over
-    Z/N per power of c below its order."""
+    Z/N per power of c below its order, in two buffers reused by each pass."""
     x = np.arange(N, dtype=np.int64)
-    least, cj = x.copy(), c % N
-    while cj != 1 % N:
-        y = x * cj
-        np.minimum(least, y - y // N * N, out=least)  # numpy's `%` is slower
+    least, y, quot, cj = x.copy(), np.empty_like(x), np.empty_like(x), c % N
+    while cj != 1 % N:  # y - y // N * N: numpy's `%` is slower
+        np.floor_divide(np.multiply(x, cj, out=y), N, out=quot)
+        np.minimum(least, np.subtract(y, np.multiply(quot, N, out=quot), out=y), out=least)
         cj = cj * c % N
     mins = np.flatnonzero(least == x)
     return mins, np.bincount(least, minlength=N)[mins]

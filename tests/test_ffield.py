@@ -65,10 +65,13 @@ def test_modulus_irreducibility_rejects_reducible():
 
 def test_orbit_minima_match_an_orbit_walk():
     # x -> c x mod N for every unit c of a prime N (the scaling orbits of
-    # F_p^*, and 0) and for c = p, N = p^m - 1 (the Frobenius orbits of the
-    # exponents k of g^k), against walking each orbit
-    cases = [(c, N) for N in (2, 3, 7, 13) for c in range(1, N)]
-    cases += [(p, p ** m - 1) for p, m in [(2, 1), (2, 4), (2, 6), (3, 2), (3, 4), (5, 3)]]
+    # F_p^*, and 0), for c = p, N = p^m - 1 (the Frobenius orbits of the
+    # exponents k of g^k; up to 11 passes over the reused buffers), and for
+    # units of composite N, against walking each orbit
+    cases = [(c, N) for N in (1, 2, 3, 7, 13) for c in range(1, max(N, 2))]
+    cases += [(p, p ** m - 1) for p, m in [(2, 1), (2, 4), (2, 6), (2, 12), (3, 2), (3, 4),
+                                           (5, 3), (5, 5), (7, 4)]]
+    cases += [(7, 100), (11, 1000), (-1, 12), (101, 1000)]
     for c, N in cases:
         orbits = {}
         for x in range(N):

@@ -569,13 +569,13 @@ def test_complete_grid_params_input_checks(monkeypatch):
         assert np.array_equal(grid.counts[a], np.roll(whole.counts, a[0] * a[1], axis=-1))
 
 
-def _off_by_03(transform):
+def _off_by_03(transform, shift=0.3):
     """A point transform (`_point_transform`, or np.fft.ifft with out=) that
-    adds 0.3 to every cell it writes."""
+    adds 0.3 (or another shift, such as 0.3j) to every cell it writes."""
     def off(field, *args, **kwargs):
         out = transform(field, *args, **kwargs)
         target = field if out is None else out
-        target += 0.3
+        target += shift
         return out
     return off
 
@@ -705,6 +705,77 @@ def test_complete_grid_matches_count_field_transform(monkeypatch):
                 assert np.array_equal(grid.values, values), (spec, p, sign)
 
 
+def _on(gens, n, phase=None, **kw):
+    """The spec on the variety of `gens` in A^n, with an optional phase."""
+    return SumSpec(nvars=n, variety=AffineVariety(n, [parse_poly(g, n) for g in gens]),
+                   additive_phase=phase and parse_poly(phase, n), **kw)
+
+
+def test_rational_route_matches_the_reference(monkeypatch):
+    # grids whose blocks are all cones' fields (phase-free, weight(g x) =
+    # weight(x)) take the rational route, one transform per block and S(h)
+    # rounded to an integer: counts and values bit-equal to the count-field
+    # reference, and counts to eval_sum at seeded h, on both sides of the
+    # crossover.  Seeded cones in 1-5 variables (1-2 homogeneous generators,
+    # with and without the torus), the whole space (which sorts its S), a
+    # point, fiber grids and split cones; other grids never take it
+    routed, rational = [], sumengine._rational_grid
+
+    def spy(fields, blocks, p, sign, params):
+        routed.append(len(blocks))
+        return rational(fields, blocks, p, sign, params)
+
+    monkeypatch.setattr(sumengine, "_rational_grid", spy)
+    rng, h_rng = random.Random(20261030), np.random.default_rng(30)
+    fibers = [(_on(["x1*x3^2 + x2*x4^2"], 4), 2), (_on(["x1*x2^2 - x3^2"], 3), 1),
+              (_on(["x1*x2^2 + x3*x4 - x5^2"], 5), 1)]
+    splits = [_on(["x1*x3 - x5^2", "x2^2 + 2*x4^2"], 5), _on(["x1^2 + x2^2 - x3^2", "x4*x5"], 5),
+              _on(["x1^3 - x2^3", "x3*x4"], 4, torus=True)]
+    for p in (2, 3, 5, 7, 13, 61, 103, 127):
+        top = max(n for n in range(1, 6) if p ** (n + 1) <= 13 ** 5 or n == 1)
+        cases = [(SumSpec(nvars=top), 0, 1), (SumSpec(nvars=0), 0, 1)]
+        for n in range(1, top + 1):
+            gens = [_homogeneous(rng, n, rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+            cases.append((SumSpec(nvars=n, torus=rng.random() < 0.4,
+                                  variety=AffineVariety(n, gens)), 0, 1))
+        cases += [(spec, k, 1) for spec, k in fibers if p ** (spec.nvars + 1) <= 13 ** 5]
+        cases += [(spec, 0, 2) for spec in splits if p ** (spec.nvars + 1) <= 13 ** 5]
+        for spec, k, blocks in cases:
+            for sign in (1, -1):
+                with monkeypatch.context() as m:
+                    m.setattr(sumengine, "_BLOCK", SPLIT if blocks > 1 else sumengine._BLOCK)
+                    routed.clear()
+                    grid = complete_grid(spec, p, sign, params=k)
+                    assert len(routed) == 1 and routed[0] >= blocks, (spec, p, k)
+                counts, values = _reference_grid(spec, p, sign, k)
+                assert np.array_equal(grid.counts, counts), (spec, p, k, sign)
+                assert np.array_equal(grid.values, values), (spec, p, k, sign)
+            if k == 0 and p ** spec.nvars <= 7 ** 5:
+                ctx = FieldCtx(p)
+                for h in h_rng.integers(0, p, size=(3, spec.nvars)).tolist():
+                    want = np.asarray(eval_sum(spec, ctx, h=h).cyclo.counts)
+                    assert np.array_equal(grid.counts[tuple(h)], want - want.min()), (spec, p, h)
+    # a circle, a cone with a phase, S_F and a torus with a phase
+    routed.clear()
+    for p in (5, 13, 61, 127):
+        complete_grid(_on(["x1^2 + x2^2 - 1"], 2), p)
+        complete_grid(_on(["x1*x2 - x3^2"], 3, "x1 + x2"), p if p < 61 else 5)
+        S_F_grid(parse_poly("y^2 - x1^3 - x2", 3), p)
+        complete_grid(SumSpec(nvars=2, torus=True, additive_phase=parse_poly("x1*x2", 2)), p)
+    assert routed == []
+
+
+def test_rational_route_builds_no_count_field():
+    # a cone grid holds no count field until counts is read: its build
+    # peaks below the p^(n+1) int64 counts, one block at 19^4 (19.8 MB of
+    # counts) and two at 5^8 (15.6 MB, where the orbit path peaked at 22 MB)
+    for spec, p in ((_on(["x1^2 + x2^2 + x3^2 + x4^2"], 4), 19),
+                    (_on(["x1*x2 - x3*x4", "x5*x6 - x7*x8"], 8), 5)):
+        complete_grid(spec, p)  # field and zeta tables are cached
+        assert _traced_peak(complete_grid, spec, p) < p ** (spec.nvars + 1) * 8, (spec, p)
+        assert callable(complete_grid(spec, p)._counts)
+
+
 def test_exact_grids_stay_exact_below_the_crossover():
     # the table product at the two largest gemm-side primes tested: counts
     # of the orbit path (a cubic, a circle) and of the count field (no
@@ -735,7 +806,8 @@ def test_complete_grid_transforms_one_field_per_orbit(monkeypatch):
     # a cubic at p = 13 has 3 orbits of zeta powers s, -s under s -> g^3 s;
     # a phase-free field is one orbit, also over the last n - k axes; the
     # mixed-degree x1^2 + x2 goes through cyclo_dft, the trivial orbit: one
-    # field per zeta power s <= p//2.  Each field takes one point transform;
+    # field per zeta power s <= p//2; a cone's weight is transformed once
+    # per block (the rational route).  Each field takes one point transform;
     # at p = 127 (FFT side) the cubic's 3 fields take one FFT per axis
     transform, ifft, calls, dft_calls = sumengine._point_transform, np.fft.ifft, [], []
 
@@ -756,14 +828,20 @@ def test_complete_grid_transforms_one_field_per_orbit(monkeypatch):
     cubic = SumSpec(nvars=2, additive_phase=parse_poly("x1^3 + x1*x2^2", 2))
     quadric = SumSpec(nvars=3, variety=AffineVariety(3, [parse_poly("x1*x2 - x3^2 + 1", 3)]))
     mixed = SumSpec(nvars=2, additive_phase=parse_poly("x1^2 + x2", 2))
-    for spec, p, k, want, via_dft in [
-            (cubic, 13, 0, [((13, 13), 0)] * 3, False),
-            (quadric, 5, 0, [((5, 5, 5), 0)], False),
-            (quadric, 5, 1, [((5, 5, 5), 1)], False),
-            (mixed, 5, 0, [((5, 5), 0)] * 2, True)]:
+    cone, split_cone = _on(["x1*x2 - x3^2"], 3), _on(["x1^2 + x2^2 - x3^2", "x4*x5"], 5)
+    for spec, p, k, want, via_dft, block in [
+            (cubic, 13, 0, [((13, 13), 0)] * 3, False, WHOLE),
+            (quadric, 5, 0, [((5, 5, 5), 0)], False, WHOLE),
+            (quadric, 5, 1, [((5, 5, 5), 1)], False, WHOLE),
+            (mixed, 5, 0, [((5, 5), 0)] * 2, True, WHOLE),
+            (cone, 13, 0, [((13, 13, 13), 0)], False, WHOLE),
+            (cone, 5, 1, [((5, 5, 5), 1)], False, WHOLE),
+            (split_cone, 5, 0, [((5, 5, 5), 0), ((5, 5), 0)], False, SPLIT)]:
         calls.clear()
         dft_calls.clear()
-        complete_grid(spec, p, params=k)
+        with monkeypatch.context() as m:
+            m.setattr(sumengine, "_BLOCK", block)
+            complete_grid(spec, p, params=k)
         assert calls == want, (spec, k, calls)
         assert dft_calls == ([(p,) * (spec.nvars + 1)] if via_dft else [])
     with monkeypatch.context() as m:
@@ -772,17 +850,23 @@ def test_complete_grid_transforms_one_field_per_orbit(monkeypatch):
         calls.clear()
         complete_grid(cubic, 127)
         assert calls == [((127, 127), 1), ((127, 127), 0)] * 3
-    # the rounding-residual guard fires on the orbit path too, on both
-    # sides of the crossover
-    monkeypatch.setattr(sumengine, "_point_transform", _off_by_03(transform))
+    # the rounding-residual guard fires on the orbit path and on the
+    # rational route, on both sides of the crossover, and there also on an
+    # imaginary part off by 0.3
+    cubic_cone = _on(["x1^3 + x2^3"], 2)
     dft_calls.clear()
-    for spec, p in ((cubic, 13), (quadric, 5)):
-        with pytest.raises(AssertionError, match="residual"):
-            complete_grid(spec, p)
-    monkeypatch.setattr(sumengine, "_point_transform", transform)
-    monkeypatch.setattr(np.fft, "ifft", _off_by_03(ifft))
-    with pytest.raises(AssertionError, match="residual"):
-        complete_grid(cubic, 127)
+    for shift in (0.3, 0.3j):
+        monkeypatch.setattr(sumengine, "_point_transform", _off_by_03(transform, shift))
+        for spec, p, path in ((cubic, 13, "cyclo_dft"), (quadric, 5, "cyclo_dft"),
+                              (cone, 13, "rational grid")):
+            with pytest.raises(AssertionError, match=f"{path} rounding residual"):
+                complete_grid(spec, p)
+        monkeypatch.setattr(sumengine, "_point_transform", transform)
+        monkeypatch.setattr(np.fft, "ifft", _off_by_03(ifft, shift))
+        for spec, path in ((cubic, "cyclo_dft"), (cubic_cone, "rational grid")):
+            with pytest.raises(AssertionError, match=f"{path} rounding residual"):
+                complete_grid(spec, 127)
+        monkeypatch.setattr(np.fft, "ifft", ifft)
     assert dft_calls == []
 
 
@@ -1047,36 +1131,42 @@ def test_orbit_rows_are_predicted_column_permutations():
             assert np.array_equal(moved, rows[:, t * np.arange(p) % p]), (spec, p, lam, t)
 
 
-def test_fixed_rows_are_rendered_once_and_stay_bit_equal():
+def test_fixed_rows_are_rendered_once_and_stay_bit_equal(monkeypatch):
     # a representative row with equal columns 1..p-1 (a rational S(h)) is
     # fixed by every column permutation, so it is rendered once, with all
     # representatives at the first image, and scattered to its images.
     # Values must still equal a whole-array tensordot bit for bit, and
-    # counts the count field's: on a cone (every row fixed), a circle (some
-    # rows; at p = 131 only h = 0), a split cone, fiber grids, one variable
-    # (one row fixed, so one row moves: never rendered alone, which rounds
-    # differently) and seeded symmetric specs
-    def on(f, n, phase=None):
-        return SumSpec(nvars=n, variety=AffineVariety(n, [parse_poly(g, n) for g in f]),
-                       additive_phase=phase and parse_poly(phase, n))
+    # counts the count field's: on a circle (some rows; at p = 131 only
+    # h = 0), a split grid (6,167 of its 12,745 representatives fixed),
+    # fiber grids, one variable (one row fixed, so one row moves: never
+    # rendered alone, which rounds differently) and seeded symmetric specs.
+    # Cones take the rational route instead (every row fixed)
+    fixed_reps, orbit_rows = [], sumengine._orbit_rows
 
-    circle = on(["x1^2 + x2^2 - 1"], 2)
+    def spy(rep, at, *args):
+        fixed_reps.append(len(at) - len(rep))
+        return orbit_rows(rep, at, *args)
+
+    monkeypatch.setattr(sumengine, "_orbit_rows", spy)
+    circle = _on(["x1^2 + x2^2 - 1"], 2)
     cases = [
-        (on(["x1^2 + x2^2 - x3^2"], 3), 13, 0, 13 ** 3),
-        (circle, 13, 0, 25),
-        (circle, 131, 0, 1),
-        (on(["x1^2 + x2^2 - x3^2", "x4*x5"], 5), 7, 0, 7 ** 5),  # split
-        (on(["x1*x2^2 - x3^2"], 3), 11, 1, 11 ** 3),
-        (on([], 3, "x1*x2^2 + x3^2"), 11, 1, None),
+        (circle, 13, 0, 25, 3),
+        (circle, 131, 0, 1, 1),
+        (SumSpec(nvars=4, additive_phase=parse_poly("x1*x2 + x3*x4^2", 4)), 23, 0, None, 6167),
+        (_on(["x1*x2^2 - x3^2 + x1"], 3), 11, 1, None, 33),
+        (_on([], 3, "x1*x2^2 + x3^2"), 11, 1, None, 31),
         # sum over y of psi(h y^2): two representatives, h = 0 and h = 1
-        (SumSpec(nvars=1, trace_weight=("root_count", parse_poly("x1^2 - x2", 2))), 13, 0, 1),
+        (SumSpec(nvars=1, trace_weight=("root_count", parse_poly("x1^2 - x2", 2))), 13, 0, 1,
+         0),
     ]
     rng = random.Random(20261028)
-    cases += [(spec, p, 0, None) for p in (5, 7, 11)
+    cases += [(spec, p, 0, None, None) for p in (5, 7, 11)
               for spec in rng.sample(_symmetric_specs(rng), 5)]
-    for spec, p, params, n_fixed in cases:
+    for spec, p, params, n_fixed, n_reps in cases:
+        fixed_reps.clear()
         grid = complete_grid(spec, p, params=params)
-        assert callable(grid._counts), (spec, p)  # the orbit expansion
+        assert callable(grid._counts), (spec, p)  # built on first read
+        assert n_reps is None or fixed_reps[:1] == [n_reps], (spec, p, fixed_reps)
         counts, _ = _reference_grid(spec, p, params=params)
         assert np.array_equal(grid.counts, counts), (spec, p)
         rows = counts.reshape(-1, p)
